@@ -16,7 +16,7 @@ from .capacity import (
 )
 from .channels import ChannelSystem
 from .systems import (
-    Cycle, FullClique, SingleChannel, classify, max_clique, pairs_graph,
+    Cycle, FullClique, SingleChannel, SystemClass, max_clique, pairs_graph,
     remove_dominated, separable_split,
 )
 
@@ -66,6 +66,17 @@ def bounds_cycle(t: int, q: int) -> CapacityResult:
                           witness={"t": t, "lower_path": path.witness})
 
 
+def _bound_leaf(core: ChannelSystem, cls: SystemClass) -> CapacityResult:
+    if isinstance(cls, SingleChannel):
+        return capacity_single(cls.size, core.q)
+    if isinstance(cls, FullClique):
+        return CapacityResult("exact", "full_clique", value=1.0,
+                              witness={"q": core.q})
+    if isinstance(cls, Cycle):
+        return bounds_cycle(cls.t, core.q)
+    return bounds_general(core)
+
+
 def bounds(system: ChannelSystem) -> CapacityResult:
     """Sandwich for an arbitrary system, ignoring exact structural formulas.
 
@@ -74,19 +85,7 @@ def bounds(system: ChannelSystem) -> CapacityResult:
     bounded by its clique sandwich (cycles get the tailored one); single
     channels and covering designs are lossless cases reported exactly.
     """
-
-    def leaf(core: ChannelSystem) -> CapacityResult:
-        cls = classify(core)
-        if isinstance(cls, SingleChannel):
-            return capacity_single(cls.size, core.q)
-        if isinstance(cls, FullClique):
-            return CapacityResult("exact", "full_clique", value=1.0,
-                                  witness={"q": core.q})
-        if isinstance(cls, Cycle):
-            return bounds_cycle(cls.t, core.q)
-        return bounds_general(core)
-
-    return _dispatch(system, leaf)
+    return _dispatch(system, _bound_leaf)
 
 
 def subgraph_monotonic_check(small: ChannelSystem, large: ChannelSystem, n: int,

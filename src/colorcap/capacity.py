@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 from .channels import ChannelSystem
 from .systems import (
-    Cycle, FullClique, Path, SingleChannel, Sunflower, TwoSets,
-    classify, remove_dominated, separable_split,
+    Path, Reducible, Separable, Sunflower, SystemClass, TwoSets, classify,
 )
 
 
@@ -236,56 +235,44 @@ def _removed_channels(original: ChannelSystem, reduced: ChannelSystem) -> list:
 
 
 def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
-    """Reduce, split, recurse, and combine component results by the max rule.
+    """Follow classify(): reduce, split, recurse, and combine by the max rule.
 
-    leaf_fn handles an irreducible system.  Component results combine into
-    an exact maximum when all are exact, otherwise into the interval of the
-    pointwise maxima.  The witness records the reduction chain.
+    leaf_fn(system, cls) handles an irreducible system of class cls.
+    Component results combine into an exact maximum when all are exact,
+    otherwise into the interval of the pointwise maxima.  The witness
+    records the reduction chain.
     """
-    reduced = remove_dominated(system)
-    removed = _removed_channels(system, reduced)
-    components = separable_split(reduced)
-
-    if len(components) > 1:
-        parts = [_dispatch(c, leaf_fn) for c in components]
+    cls = classify(system)
+    if isinstance(cls, Reducible):
+        result = _dispatch(cls.reduced, leaf_fn)
+        witness = dict(result.witness)
+        witness["removed_channels"] = [
+            sorted(c) for c in _removed_channels(system, cls.reduced)]
+        return dataclasses.replace(result, witness=witness)
+    if isinstance(cls, Separable):
+        parts = [_dispatch(c, leaf_fn) for c in cls.components]
         lowers = [p.interval()[0] for p in parts]
         uppers = [p.interval()[1] for p in parts]
         winner = max(range(len(parts)), key=lambda i: lowers[i])
         witness = {"components": [p.as_dict() for p in parts], "winner": winner}
-        if removed:
-            witness["removed_channels"] = [sorted(c) for c in removed]
         if all(p.kind == "exact" for p in parts):
             return CapacityResult("exact", "separable", value=max(lowers),
                                   witness=witness)
         return CapacityResult("bounds", "separable", lower=max(lowers),
                               upper=max(uppers), witness=witness)
-
-    result = leaf_fn(components[0])
-    if removed:
-        witness = dict(result.witness)
-        witness["removed_channels"] = [sorted(c) for c in removed]
-        result = dataclasses.replace(result, witness=witness)
-    return result
+    return leaf_fn(system, cls)
 
 
-def _capacity_leaf(leaf: ChannelSystem) -> CapacityResult:
-    from .bounds import bounds_cycle, bounds_general
+def _capacity_leaf(leaf: ChannelSystem, cls: SystemClass) -> CapacityResult:
+    from .bounds import _bound_leaf
 
-    cls = classify(leaf)
-    if isinstance(cls, SingleChannel):
-        return capacity_single(cls.size, leaf.q)
-    if isinstance(cls, FullClique):
-        return CapacityResult("exact", "full_clique", value=1.0,
-                              witness={"q": leaf.q})
     if isinstance(cls, TwoSets):
         return capacity_two_sets(cls.k, cls.p1, cls.p2, leaf.q)
     if isinstance(cls, Sunflower):
         return capacity_sunflower(cls.k, cls.p, cls.t, leaf.q)
     if isinstance(cls, Path):
         return capacity_path(cls.t, leaf.q)
-    if isinstance(cls, Cycle):
-        return bounds_cycle(cls.t, leaf.q)
-    return bounds_general(leaf)
+    return _bound_leaf(leaf, cls)
 
 
 def capacity(system: ChannelSystem) -> CapacityResult:

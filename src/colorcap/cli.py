@@ -9,8 +9,10 @@ budget refusal, 4 on inconsistent reconstruction views.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import re
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -21,10 +23,7 @@ from .oracle import (
     DEFAULT_BUDGET, BudgetExceededError, ReconstructionError, count_outputs,
     empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
 )
-from .systems import (
-    Cycle, FullClique, General, Path, Reducible, Separable, SingleChannel,
-    Sunflower, SystemClass, TwoSets, classify,
-)
+from .systems import SystemClass, TwoSets, classify
 
 ENV_BUDGET = "COLORCAP_BUDGET"
 
@@ -74,12 +73,16 @@ def parse_system_document(obj) -> tuple[ChannelSystem, dict]:
 
 def read_json(path: str):
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as exc:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                raw = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -87,9 +90,12 @@ def write_json(doc: dict, path: str) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def system_dict(system: ChannelSystem) -> dict:
@@ -97,30 +103,18 @@ def system_dict(system: ChannelSystem) -> dict:
 
 
 def class_dict(cls: SystemClass) -> dict:
-    if isinstance(cls, SingleChannel):
-        return {"type": "single_channel", "size": cls.size}
-    if isinstance(cls, FullClique):
-        return {"type": "full_clique"}
-    if isinstance(cls, Sunflower):
-        return {"type": "sunflower", "k": cls.k, "p": cls.p, "t": cls.t}
-    if isinstance(cls, TwoSets):
-        out = {"type": "two_sets", "k": cls.k, "p1": cls.p1, "p2": cls.p2}
-        eq = cls.sunflower_equivalent
-        if eq is not None:
-            out["sunflower_equivalent"] = {"k": eq.k, "p": eq.p, "t": eq.t}
-        return out
-    if isinstance(cls, Path):
-        return {"type": "path", "t": cls.t}
-    if isinstance(cls, Cycle):
-        return {"type": "cycle", "t": cls.t}
-    if isinstance(cls, Separable):
-        return {"type": "separable",
-                "components": [system_dict(c) for c in cls.components]}
-    if isinstance(cls, Reducible):
-        return {"type": "reducible", "reduced": system_dict(cls.reduced)}
-    if isinstance(cls, General):
-        return {"type": "general"}
-    raise AssertionError(f"unhandled class {cls!r}")
+    """{"type": snake_case class name, **fields}, systems as system_dict."""
+    out = {"type": re.sub(r"(?<!^)(?=[A-Z])", "_", type(cls).__name__).lower()}
+    for f in dataclasses.fields(cls):
+        value = getattr(cls, f.name)
+        if isinstance(value, ChannelSystem):
+            value = system_dict(value)
+        elif isinstance(value, tuple):
+            value = [system_dict(c) for c in value]
+        out[f.name] = value
+    if isinstance(cls, TwoSets) and cls.sunflower_equivalent is not None:
+        out["sunflower_equivalent"] = dataclasses.asdict(cls.sunflower_equivalent)
+    return out
 
 
 def format_sig(value: float, digits: int = 5) -> str:
@@ -169,16 +163,23 @@ def _load_system(args) -> tuple[ChannelSystem, dict]:
     return parse_system_document(read_json(args.input))
 
 
+def _at_least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise SchemaError(f"{flag} must be >= {least}, got {value}")
+    return value
+
+
 def _resolve_budget(args) -> int | None:
     if args.budget is not None:
-        return args.budget
+        return _at_least("--budget", args.budget, 0)
     env = os.environ.get(ENV_BUDGET)
     if env is None:
         return None
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
         raise SchemaError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
+    return _at_least(ENV_BUDGET, budget, 0)
 
 
 def cmd_classify(args) -> dict:
@@ -200,6 +201,7 @@ def cmd_bounds(args) -> dict:
 
 def cmd_enumerate(args) -> dict:
     system, echo = _load_system(args)
+    _at_least("--n", args.n, 1 if args.sweep else 0)
     budget = _resolve_budget(args)
     doc = {"input": echo, "class": class_dict(classify(system))}
     if args.sweep:
@@ -229,6 +231,9 @@ def cmd_reconstruct(args) -> dict:
     if not 1 <= args.channel <= system.t:
         raise SchemaError(f"--channel {args.channel} out of range 1..{system.t}")
     channel = system.channels[args.channel - 1]
+    if len(channel) < 2:
+        raise SchemaError(f"--channel {args.channel} has one letter; "
+                          "reconstruction needs at least 2")
     views_doc = read_json(args.views)
     if not isinstance(views_doc, dict) or "views" not in views_doc:
         raise SchemaError('views document must be an object with a "views" list')
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     io_parent.add_argument("--output", default="-", metavar="FILE",
                            help="result document (JSON); '-' writes stdout")
     io_parent.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="enumeration worker processes (default 1)")
+                           help="enumeration worker processes, >= 1 (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("classify", parents=[io_parent],
@@ -324,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = COMMANDS[args.command](args)
+        _at_least("--workers", args.workers, 1)
+        write_json(COMMANDS[args.command](args), args.output)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -334,5 +340,4 @@ def main(argv=None) -> int:
     except ReconstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    write_json(doc, args.output)
     return 0

@@ -26,11 +26,14 @@ class BudgetExceededError(RuntimeError):
     """Enumeration refused: the state space exceeds the configured budget."""
 
     def __init__(self, q: int, n: int, limit: int):
-        self.states = q ** n
-        self.limit = limit
+        self.q, self.n, self.limit = q, n, limit
         super().__init__(
-            f"enumerating {q}^{n} = {self.states} words exceeds the budget "
-            f"of {limit} states; raise the budget to force it")
+            f"enumerating {q}^{n} words exceeds the budget of {limit} states; "
+            f"raise the budget to force it")
+
+    @property
+    def states(self) -> int:
+        return self.q ** self.n
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ def count_outputs(system: ChannelSystem, n: int, *, budget: int | None = None,
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
     limit = DEFAULT_BUDGET if budget is None else budget
-    states = system.q ** n
-    if states > limit:
+    # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
+    states = system.q ** n if n < limit.bit_length() else None
+    if states is None or states > limit:
         raise BudgetExceededError(system.q, n, limit)
     start = time.perf_counter()
     if workers > 1 and states >= 4096 and n >= 2:

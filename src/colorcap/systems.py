@@ -93,9 +93,6 @@ class PairsGraph:
             if not (1 <= u < v <= self.q):
                 raise ValueError(f"edge ({u},{v}) not an ordered pair in 1..{self.q}")
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
     @property
     def is_complete(self) -> bool:
         return len(self.edges) == self.q * (self.q - 1) // 2

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorcap.cli import format_sig, main, parse_system_document
 
@@ -222,3 +228,117 @@ def test_table_q4():
 
 def test_main_returns_int():
     assert main(["table", "--which", "q3", "--output", "/dev/null"]) == 0
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of an in-process run; argparse exits count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(code, stdout, stderr, expected):
+    assert code == expected, stderr
+    assert stdout == ""
+    assert stderr.startswith("error:") and stderr.count("\n") == 1, stderr
+
+
+PATH2 = {"q": 3, "channels": [[1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize("flags, content, code", [
+    pytest.param(["enumerate", "--n", "-1"], PATH2, 2, id="negative-n"),
+    pytest.param(["enumerate", "--sweep", "--n", "0"], PATH2, 2, id="sweep-n-0"),
+    pytest.param(["enumerate", "--n", "3", "--budget", "-5"], PATH2, 2, id="negative-budget"),
+    pytest.param(["enumerate", "--n", "3", "--workers", "0"], PATH2, 2, id="workers-0"),
+    pytest.param(["classify", "--workers", "-2"], PATH2, 2, id="negative-workers"),
+    pytest.param(["enumerate", "--n", "100000"], PATH2, 3, id="huge-n"),
+    pytest.param(["enumerate", "--n", "100000", "--verify-pairs"], PATH2, 3,
+                 id="huge-n-verify-pairs"),
+    pytest.param(["classify"], b"\xff\xfe", 2, id="not-utf-8"),
+    pytest.param(["classify"], b"[" * 100_000, 2, id="deep-nesting"),
+    pytest.param(["classify"], b'{"q": ' + b"1" * 5000 + b', "channels": [[1]]}', 2,
+                 id="5000-digit-q"),
+])
+def test_rejections_exit_with_one_line_error(tmp_path, flags, content, code):
+    src = tmp_path / "system.json"
+    src.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    _assert_rejected(*_main([*flags, "--input", str(src)]), code)
+
+
+def test_negative_env_budget_exit_2(tmp_path, monkeypatch):
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps(PATH2))
+    monkeypatch.setenv("COLORCAP_BUDGET", "-5")
+    _assert_rejected(*_main(["enumerate", "--n", "3", "--input", str(src)]), 2)
+
+
+def test_reconstruct_one_letter_channel_exit_2(tmp_path):
+    src, views = tmp_path / "system.json", tmp_path / "views.json"
+    src.write_text(_doc(3, [[1], [2, 3]]))
+    views.write_text(json.dumps({"views": []}))
+    _assert_rejected(*_main(["reconstruct", "--input", str(src), "--channel", "1",
+                             "--views", str(views)]), 2)
+
+
+def test_unwritable_output_exit_2(tmp_path):
+    out = tmp_path / "missing" / "result.json"
+    _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
+
+
+_letters = st.integers(-1, 7)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["q", "channels", "label", "views", "x"]),
+                      inner, max_size=3),
+    max_leaves=10)
+_systems = st.fixed_dictionaries(
+    {"q": st.integers(-1, 6), "channels": st.lists(st.lists(_letters, max_size=4), max_size=4)},
+    optional={"label": st.text(max_size=4) | st.integers()})
+_views = st.fixed_dictionaries({"views": st.lists(st.fixed_dictionaries(
+    {"pair": st.lists(_letters, max_size=3), "word": st.lists(_letters, max_size=8)}),
+    max_size=4)})
+
+
+def _file(documents):
+    return documents.map(lambda d: json.dumps(d).encode()) | st.binary(max_size=12)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with {dir} for the scratch directory, input bytes, views bytes)."""
+    command = draw(st.sampled_from(["classify", "capacity", "bounds", "enumerate",
+                                    "reconstruct", "table"]))
+    argv = [command, "--input", "{dir}/system.json",
+            "--workers", str(draw(st.integers(-2, 1)))]
+    if draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(["{dir}/out.json", "{dir}/no/out.json"]))]
+    if command == "enumerate":
+        # every draw passes a budget of at most 10^4 words per count
+        argv += ["--n", str(draw(st.integers(-2, 20))),
+                 "--budget", str(draw(st.integers(-5, 10_000)))]
+        argv += draw(st.sets(st.sampled_from(["--sweep", "--verify-pairs"])))
+    elif command == "reconstruct":
+        argv += ["--channel", str(draw(st.integers(-1, 5))), "--views", "{dir}/views.json"]
+    elif command == "table":
+        argv += ["--which", draw(st.sampled_from(["q3", "q4"]))]
+    return argv, draw(_file(_systems | _json)), draw(_file(_views | _json))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocations())
+def test_every_invocation_ends_with_a_documented_exit_code(invocation):
+    argv, system_bytes, views_bytes = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in (("system.json", system_bytes), ("views.json", views_bytes)):
+            with open(os.path.join(tmp, name), "wb") as handle:
+                handle.write(content)
+        code, stdout, stderr = _main([a.replace("{dir}", tmp) for a in argv])
+    assert code in (0, 2, 3, 4)
+    if code:
+        _assert_rejected(code, stdout, stderr, code)

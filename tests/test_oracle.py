@@ -70,6 +70,12 @@ def test_budget_refusal():
     assert info.value.limit == 10**6
 
 
+def test_budget_refusal_at_huge_n_skips_the_power():
+    # 3^(10^12) has about 4.8 * 10^11 digits: computing it would not finish
+    with pytest.raises(BudgetExceededError, match=r"3\^1000000000000 words"):
+        count_outputs(ChannelSystem(3, [[1, 2]]), 10**12)
+
+
 def test_worker_invariance():
     system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
     serial = count_outputs(system, 7, workers=1)
