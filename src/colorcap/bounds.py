@@ -89,8 +89,7 @@ def bounds(system: ChannelSystem) -> CapacityResult:
 
 
 def subgraph_monotonic_check(small: ChannelSystem, large: ChannelSystem, n: int,
-                             *, budget: int | None = None,
-                             workers: int = 1) -> bool:
+                             *, budget: int | None = None) -> bool:
     """Whether the smaller system's output count is <= the larger's at length n.
 
     Requires the two systems to share an alphabet with pairs_graph(small) a
@@ -104,6 +103,6 @@ def subgraph_monotonic_check(small: ChannelSystem, large: ChannelSystem, n: int,
     if not pairs_graph(small).edges <= pairs_graph(large).edges:
         raise ValueError("first system's pairs graph is not a subgraph "
                          "of the second's")
-    a = count_outputs(small, n, budget=budget, workers=workers).count
-    b = count_outputs(large, n, budget=budget, workers=workers).count
+    a = count_outputs(small, n, budget=budget).count
+    b = count_outputs(large, n, budget=budget).count
     return a <= b

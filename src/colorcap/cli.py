@@ -205,22 +205,20 @@ def cmd_enumerate(args) -> dict:
     budget = _resolve_budget(args)
     doc = {"input": echo, "class": class_dict(classify(system))}
     if args.sweep:
-        sweep = empirical_rate_sweep(system, args.n, budget=budget,
-                                     workers=args.workers)
+        sweep = empirical_rate_sweep(system, args.n, budget=budget)
         reports = sweep.reports
         if sweep.truncated:
             doc["truncated"] = True
     else:
-        reports = [count_outputs(system, args.n, budget=budget,
-                                 workers=args.workers)]
+        reports = [count_outputs(system, args.n, budget=budget)]
     doc["enumeration"] = [
         {"n": r.n, "count": str(r.count), "rate": r.rate, "elapsed": r.elapsed}
         for r in reports
     ]
     if args.verify_pairs:
         try:
-            doc["pairs_equal"] = verify_pairs_equality(
-                system, args.n, budget=budget, workers=args.workers)
+            doc["pairs_equal"] = verify_pairs_equality(system, args.n,
+                                                       budget=budget)
         except ValueError as exc:
             raise SchemaError(f"--verify-pairs: {exc}") from exc
     return doc
@@ -282,8 +280,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colorcap",
         description="capacities, bounds, and exhaustive checks for systems "
                     "of coloring channels")
@@ -292,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="system document (JSON); '-' reads stdin")
     io_parent.add_argument("--output", default="-", metavar="FILE",
                            help="result document (JSON); '-' writes stdout")
-    io_parent.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="enumeration worker processes, >= 1 (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("classify", parents=[io_parent],
@@ -327,9 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _at_least("--workers", args.workers, 1)
+        args = build_parser().parse_args(argv)
         write_json(COMMANDS[args.command](args), args.output)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from math import comb, prod
@@ -44,40 +43,29 @@ class EnumerationReport:
     elapsed: float
 
 
-def _key_set(system: ChannelSystem, n: int, prefix: tuple[int, ...]) -> set:
-    """Canonical output keys of all words with the given prefix.
+def _key_set(system: ChannelSystem, n: int) -> set:
+    """Canonical output keys of all q^n words.
 
     Keys concatenate the per-channel projections with a 0 separator, which
     no letter can collide with.  Letters above 255 fall back to tuple keys.
     """
     q = system.q
-    tail = n - len(prefix)
     if q <= 255:
         deletes = [bytes(a for a in range(1, q + 1) if a not in ch)
                    for ch in system.channels]
-        alphabet = bytes(range(1, q + 1))
-        head = bytes(prefix)
-        seen = set()
-        for rest in itertools.product(alphabet, repeat=tail):
-            w = head + bytes(rest)
-            seen.add(b"\0".join(w.translate(None, d) for d in deletes))
-        return seen
-    seen = set()
+        return {b"\0".join(w.translate(None, d) for d in deletes)
+                for w in map(bytes, itertools.product(range(1, q + 1), repeat=n))}
     chans = system.channels
-    for rest in itertools.product(range(1, q + 1), repeat=tail):
-        w = prefix + rest
-        seen.add(tuple(tuple(a for a in w if a in ch) for ch in chans))
-    return seen
+    return {tuple(tuple(a for a in w if a in ch) for ch in chans)
+            for w in itertools.product(range(1, q + 1), repeat=n)}
 
 
-def count_outputs(system: ChannelSystem, n: int, *, budget: int | None = None,
-                  workers: int = 1) -> EnumerationReport:
+def count_outputs(system: ChannelSystem, n: int, *,
+                  budget: int | None = None) -> EnumerationReport:
     """Exact number of distinct output tuples over all q^n words.
 
     Raises BudgetExceededError when q^n exceeds the budget (default
-    DEFAULT_BUDGET states).  With workers > 1 the word space is partitioned
-    by prefix and the per-worker key sets are merged by union, so the count
-    is identical for any worker count.
+    DEFAULT_BUDGET states).
     """
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
@@ -87,26 +75,11 @@ def count_outputs(system: ChannelSystem, n: int, *, budget: int | None = None,
     if states is None or states > limit:
         raise BudgetExceededError(system.q, n, limit)
     start = time.perf_counter()
-    if workers > 1 and states >= 4096 and n >= 2:
-        count = _count_parallel(system, n, workers)
-    else:
-        count = len(_key_set(system, n, ()))
+    count = len(_key_set(system, n))
     elapsed = time.perf_counter() - start
     # log of the exact power, so a full channel reports a rate of exactly 1.0
     rate = 0.0 if n == 0 else math.log(count) / math.log(system.q ** n)
     return EnumerationReport(n=n, count=count, rate=rate, elapsed=elapsed)
-
-
-def _count_parallel(system: ChannelSystem, n: int, workers: int) -> int:
-    q = system.q
-    depth = 1
-    while q ** depth < 4 * workers and depth < n:
-        depth += 1
-    prefixes = list(itertools.product(range(1, q + 1), repeat=depth))
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.starmap(_key_set, [(system, n, p) for p in prefixes])
-    merged = set().union(*parts)
-    return len(merged)
 
 
 @dataclass(frozen=True)
@@ -212,7 +185,7 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
-                          budget: int | None = None, workers: int = 1) -> bool:
+                          budget: int | None = None) -> bool:
     """Whether the system and its pairs-graph edge system have equal counts.
 
     For an irreducible system with t >= 2 channels the two counts agree for
@@ -224,8 +197,8 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
         raise ValueError("pairs equality expects an irreducible system; "
                          "reduce and split it first")
     edges = edge_system(pairs_graph(system))
-    a = count_outputs(system, n, budget=budget, workers=workers).count
-    b = count_outputs(edges, n, budget=budget, workers=workers).count
+    a = count_outputs(system, n, budget=budget).count
+    b = count_outputs(edges, n, budget=budget).count
     return a == b
 
 
@@ -236,15 +209,14 @@ class SweepResult:
 
 
 def empirical_rate_sweep(system: ChannelSystem, n_max: int, *,
-                         budget: int | None = None,
-                         workers: int = 1) -> SweepResult:
+                         budget: int | None = None) -> SweepResult:
     """Reports for n = 1..n_max, stopping early if the budget cuts in."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     reports = []
     for n in range(1, n_max + 1):
         try:
-            reports.append(count_outputs(system, n, budget=budget, workers=workers))
+            reports.append(count_outputs(system, n, budget=budget))
         except BudgetExceededError:
             return SweepResult(tuple(reports), truncated=True)
     return SweepResult(tuple(reports), truncated=False)

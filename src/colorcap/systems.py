@@ -116,11 +116,11 @@ def edge_system(graph: PairsGraph) -> ChannelSystem:
 
 def _maximal_cliques(graph: PairsGraph) -> list[frozenset[int]]:
     """Bron-Kerbosch with pivoting over the graph's non-isolated vertices."""
-    adj = {v: set() for v in range(1, graph.q + 1)}
+    adj: dict[int, set[int]] = {}
     for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    vertices = {v for v in adj if adj[v]}
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    vertices = set(adj)
     out: list[frozenset[int]] = []
 
     def expand(r: set, p: set, x: set):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colorcap.cli
 from colorcap.cli import format_sig, main, parse_system_document
 
 PKG = "colorcap"
@@ -38,6 +39,16 @@ def test_format_sig():
     assert format_sig(0.8271946346183933) == "0.82719"
     assert format_sig(0.7924812503605781) == "0.79248"
     assert format_sig(0.9999999) == "1.0000"
+
+
+def test_import_starts_no_process_machinery():
+    src = os.path.dirname(os.path.dirname(colorcap.cli.__file__))
+    probe = ("import sys, colorcap.cli; "
+             "print(sorted({'multiprocessing', 'socket', 'pickle'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_parse_rejects_bad_documents():
@@ -254,8 +265,10 @@ PATH2 = {"q": 3, "channels": [[1, 2], [2, 3]]}
     pytest.param(["enumerate", "--n", "-1"], PATH2, 2, id="negative-n"),
     pytest.param(["enumerate", "--sweep", "--n", "0"], PATH2, 2, id="sweep-n-0"),
     pytest.param(["enumerate", "--n", "3", "--budget", "-5"], PATH2, 2, id="negative-budget"),
-    pytest.param(["enumerate", "--n", "3", "--workers", "0"], PATH2, 2, id="workers-0"),
-    pytest.param(["classify", "--workers", "-2"], PATH2, 2, id="negative-workers"),
+    pytest.param(["enumerate"], PATH2, 2, id="missing-n"),
+    pytest.param(["enumerate", "--n", "abc"], PATH2, 2, id="n-not-an-int"),
+    pytest.param(["classify", "--workers", "2"], PATH2, 2, id="removed-workers-flag"),
+    pytest.param([], PATH2, 2, id="no-command"),
     pytest.param(["enumerate", "--n", "100000"], PATH2, 3, id="huge-n"),
     pytest.param(["enumerate", "--n", "100000", "--verify-pairs"], PATH2, 3,
                  id="huge-n-verify-pairs"),
@@ -314,8 +327,7 @@ def _invocations(draw):
     """(argv with {dir} for the scratch directory, input bytes, views bytes)."""
     command = draw(st.sampled_from(["classify", "capacity", "bounds", "enumerate",
                                     "reconstruct", "table"]))
-    argv = [command, "--input", "{dir}/system.json",
-            "--workers", str(draw(st.integers(-2, 1)))]
+    argv = [command, "--input", "{dir}/system.json"]
     if draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(["{dir}/out.json", "{dir}/no/out.json"]))]
     if command == "enumerate":

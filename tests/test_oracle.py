@@ -76,11 +76,12 @@ def test_budget_refusal_at_huge_n_skips_the_power():
         count_outputs(ChannelSystem(3, [[1, 2]]), 10**12)
 
 
-def test_worker_invariance():
-    system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
-    serial = count_outputs(system, 7, workers=1)
-    for workers in (2, 3, 5):
-        assert count_outputs(system, 7, workers=workers).count == serial.count
+def test_tuple_keys_above_255_letters():
+    # letters in no channel are interchangeable, so only the visible ones matter
+    wide = ChannelSystem(300, [[1, 2], [2, 300]])
+    narrow = ChannelSystem(4, [[1, 2], [2, 3]])
+    for n in range(3):
+        assert count_outputs(wide, n).count == count_outputs(narrow, n).count
 
 
 def test_dominated_removal_count_invariance():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -137,6 +138,18 @@ def test_clique_number():
 
 def test_clique_number_edgeless():
     assert clique_number(PairsGraph(3, frozenset())) == 1
+
+
+def test_max_clique_memory_follows_edges_not_alphabet():
+    graph = PairsGraph(10**5, frozenset({(1, 2), (2, 3), (1, 3), (1, 4)}))
+    tracemalloc.start()
+    try:
+        clique = max_clique(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clique == frozenset({1, 2, 3})
+    assert peak < 10**6
 
 
 def test_edge_clique_cover_round_trip():
