@@ -15,15 +15,15 @@ from .capacity import (
 )
 from .channels import ChannelSystem, apply_channel, apply_system, confusable
 from .oracle import (
-    BudgetExceededError, CompositionCount, EnumerationReport, ReconstructionError,
-    SweepResult, composition_count_path, composition_count_sunflower,
-    count_outputs, empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
+    BudgetExceededError, EnumerationReport, ReconstructionError,
+    composition_count_path, composition_count_sunflower, count_outputs,
+    empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
 )
 from .systems import (
     Cycle, FullClique, General, PairsGraph, Path, Reducible, Separable,
-    SingleChannel, Sunflower, SystemClass, TwoSets, classify, clique_number,
-    edge_clique_cover, edge_system, max_clique, pairs_graph, remove_dominated,
-    restrict_alphabet, separable_split,
+    SingleChannel, Sunflower, SystemClass, TwoSets, classify, edge_clique_cover,
+    edge_system, max_clique, pairs_graph, remove_dominated, restrict_alphabet,
+    separable_split,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "BudgetExceededError",
     "CapacityResult",
     "ChannelSystem",
-    "CompositionCount",
     "Cycle",
     "EnumerationReport",
     "FullClique",
@@ -44,7 +43,6 @@ __all__ = [
     "Separable",
     "SingleChannel",
     "Sunflower",
-    "SweepResult",
     "SystemClass",
     "TwoSets",
     "apply_channel",
@@ -60,7 +58,6 @@ __all__ = [
     "chebyshev_U",
     "chebyshev_W",
     "classify",
-    "clique_number",
     "composition_count_path",
     "composition_count_sunflower",
     "confusable",

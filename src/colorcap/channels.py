@@ -17,15 +17,6 @@ from typing import AbstractSet, Iterable, Sequence
 Word = tuple[int, ...]
 
 
-def validate_word(word: Sequence[int], q: int) -> Word:
-    """Check that every symbol lies in 1..q and return the word as a tuple."""
-    w = tuple(word)
-    for pos, a in enumerate(w):
-        if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= q:
-            raise ValueError(f"symbol {a!r} at position {pos} outside 1..{q}")
-    return w
-
-
 @dataclass(frozen=True)
 class ChannelSystem:
     """A sequence of coloring channels over the alphabet [q].

@@ -205,9 +205,8 @@ def cmd_enumerate(args) -> dict:
     budget = _resolve_budget(args)
     doc = {"input": echo, "class": class_dict(classify(system))}
     if args.sweep:
-        sweep = empirical_rate_sweep(system, args.n, budget=budget)
-        reports = sweep.reports
-        if sweep.truncated:
+        reports = empirical_rate_sweep(system, args.n, budget=budget)
+        if len(reports) < args.n:
             doc["truncated"] = True
     else:
         reports = [count_outputs(system, args.n, budget=budget)]
@@ -253,7 +252,10 @@ def cmd_reconstruct(args) -> dict:
         if not isinstance(word, list) or not all(
                 isinstance(a, int) and not isinstance(a, bool) for a in word):
             raise SchemaError(f"views[{i}].word must be a list of integers")
-        pair_views[frozenset(pair)] = tuple(word)
+        key = frozenset(pair)
+        if key in pair_views:
+            raise SchemaError(f"views[{i}].pair {pair} repeats an earlier pair")
+        pair_views[key] = tuple(word)
     word = reconstruct_view(pair_views, channel)
     return {"input": echo, "channel": args.channel,
             "letters": sorted(channel), "word": list(word)}

@@ -82,16 +82,8 @@ def count_outputs(system: ChannelSystem, n: int, *,
     return EnumerationReport(n=n, count=count, rate=rate, elapsed=elapsed)
 
 
-@dataclass(frozen=True)
-class CompositionCount:
-    """Exact count of output tuples from words of one composition."""
-
-    params: dict
-    count: int
-
-
 def composition_count_sunflower(k: int, p: int, t: int, i: Sequence[int],
-                                j1: int) -> CompositionCount:
+                                j1: int) -> int:
     """Outputs of (k,p,t)-sunflower words with i[l] letters from petal l and
     j1 core letters:  k^j1 * p^sum(i) * prod_l C(j1 + i[l], i[l]).
     """
@@ -100,12 +92,10 @@ def composition_count_sunflower(k: int, p: int, t: int, i: Sequence[int],
         raise ValueError(f"need one petal count per channel, got {len(i)} for t={t}")
     if j1 < 0 or any(x < 0 for x in i):
         raise ValueError("composition entries must be >= 0")
-    count = k ** j1 * p ** sum(i) * prod(comb(j1 + x, x) for x in i)
-    return CompositionCount(params={"k": k, "p": p, "t": t, "i": i, "j1": j1},
-                            count=count)
+    return k ** j1 * p ** sum(i) * prod(comb(j1 + x, x) for x in i)
 
 
-def composition_count_path(a: Sequence[int]) -> CompositionCount:
+def composition_count_path(a: Sequence[int]) -> int:
     """Outputs of path words with a[i] copies of the i-th path letter:
     prod_i C(a[i-1] + a[i], a[i]) over consecutive pairs.
     """
@@ -114,8 +104,7 @@ def composition_count_path(a: Sequence[int]) -> CompositionCount:
         raise ValueError("a path profile needs at least two letter counts")
     if any(x < 0 for x in a):
         raise ValueError("composition entries must be >= 0")
-    count = prod(comb(a[i - 1] + a[i], a[i]) for i in range(1, len(a)))
-    return CompositionCount(params={"a": a}, count=count)
+    return prod(comb(a[i - 1] + a[i], a[i]) for i in range(1, len(a)))
 
 
 class ReconstructionError(ValueError):
@@ -126,62 +115,58 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     """Rebuild the projection onto `channel` from all its pairwise views.
 
     pair_views maps each 2-subset {a, b} of the channel to the projection of
-    the word onto {a, b}.  Repeatedly, each nonempty view rules out the pair
-    letter that does not come first; the unique letter never ruled out is
-    the next symbol, and its first occurrence is dropped from every view
-    containing it.  Inconsistent views raise ReconstructionError.
+    the word onto {a, b}.  With m letters in the channel, the j-th a of the
+    word (counting from 0) has j earlier a's and, in each view (a, b), every
+    earlier b before it, so it sits at sum_b idx_ab(j) - (m - 2) * j, where
+    idx_ab(j) is the index of the j-th a in view (a, b).  Each letter is
+    placed there directly; the result is returned only if every view equals
+    its projection onto that view's pair, so inconsistent views raise
+    ReconstructionError.
     """
     letters = sorted(set(channel))
-    if len(letters) < 2:
+    m = len(letters)
+    if m < 2:
         raise ValueError("reconstruction needs a channel of at least 2 letters")
-    pairs = [(a, b) for a, b in itertools.combinations(letters, 2)]
     normalized = {frozenset(key): tuple(word) for key, word in pair_views.items()}
     if len(normalized) != len(pair_views):
         raise ReconstructionError("duplicate pair keys in the views")
-    views: dict[tuple[int, int], list[int]] = {}
-    for pair in pairs:
+    views: dict[tuple[int, int], tuple] = {}
+    for pair in itertools.combinations(letters, 2):
         key = frozenset(pair)
         if key not in normalized:
             raise ReconstructionError(f"missing view for pair {pair}")
-        word = normalized.pop(key)
-        bad = [s for s in word if s not in pair]
+        view = normalized.pop(key)
+        bad = [s for s in view if s not in pair]
         if bad:
             raise ReconstructionError(
                 f"view for pair {pair} contains foreign symbol {bad[0]}")
-        views[pair] = list(word)
+        views[pair] = view
     if normalized:
         extra = tuple(sorted(next(iter(normalized))))
         raise ReconstructionError(f"view for {extra} is not a pair of the channel")
 
-    remaining: dict[int, int] = {}
+    own = {a: [v for pair, v in views.items() if a in pair] for a in letters}
+    length = 0
     for a in letters:
-        counts = {pair: views[pair].count(a) for pair in pairs if a in pair}
-        values = set(counts.values())
-        if len(values) > 1:
+        counts = {v.count(a) for v in own[a]}
+        if len(counts) > 1:
             raise ReconstructionError(
                 f"letter {a} occurs a different number of times across views")
-        remaining[a] = values.pop()
+        length += counts.pop()
 
-    out = []
-    total = sum(remaining.values())
-    for _ in range(total):
-        ruled_out = set()
-        for (a, b), v in views.items():
-            if v:
-                ruled_out.add(b if v[0] == a else a)
-        survivors = [a for a in letters if remaining[a] and a not in ruled_out]
-        if len(survivors) != 1:
+    # with equal counts every slot lies in 0..length-1; a slot written twice
+    # leaves another empty, which the projection check below rejects
+    out = [None] * length
+    for a in letters:
+        slots = zip(*((i for i, s in enumerate(v) if s == a) for v in own[a]))
+        for j, indices in enumerate(slots):
+            out[sum(indices) - (m - 2) * j] = a
+    word = tuple(out)
+    for pair, v in views.items():
+        if tuple(s for s in word if s in pair) != v:
             raise ReconstructionError(
-                "elimination left no viable next symbol" if not survivors
-                else f"elimination left several candidates: {survivors}")
-        z = survivors[0]
-        out.append(z)
-        remaining[z] -= 1
-        for pair in pairs:
-            if z in pair:
-                v = views[pair]
-                v.pop(v.index(z))
-    return tuple(out)
+                f"the views are not the projections of one word: pair {pair} disagrees")
+    return word
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
@@ -202,15 +187,10 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     return a == b
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    reports: tuple[EnumerationReport, ...]
-    truncated: bool
-
-
 def empirical_rate_sweep(system: ChannelSystem, n_max: int, *,
-                         budget: int | None = None) -> SweepResult:
-    """Reports for n = 1..n_max, stopping early if the budget cuts in."""
+                         budget: int | None = None) -> tuple[EnumerationReport, ...]:
+    """Reports for n = 1..n_max, stopping early if the budget cuts in; the
+    sweep was cut short exactly when fewer than n_max reports come back."""
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     reports = []
@@ -218,5 +198,5 @@ def empirical_rate_sweep(system: ChannelSystem, n_max: int, *,
         try:
             reports.append(count_outputs(system, n, budget=budget))
         except BudgetExceededError:
-            return SweepResult(tuple(reports), truncated=True)
-    return SweepResult(tuple(reports), truncated=False)
+            break
+    return tuple(reports)

@@ -138,14 +138,6 @@ def _maximal_cliques(graph: PairsGraph) -> list[frozenset[int]]:
     return out
 
 
-def clique_number(graph: PairsGraph) -> int:
-    """Exact clique number; isolated vertices give 1, the empty graph 0."""
-    if graph.q == 0:
-        return 0
-    cliques = _maximal_cliques(graph)
-    return max((len(c) for c in cliques), default=1)
-
-
 def max_clique(graph: PairsGraph) -> frozenset[int]:
     """One maximum clique (lexicographically least among the largest)."""
     cliques = _maximal_cliques(graph)

@@ -135,17 +135,17 @@ def test_criterion_3_composition_sums():
     cases = [
         ("sunflower(1,1,2)", ChannelSystem(3, [[1, 2], [1, 3]]),
          lambda n: sum(
-             composition_count_sunflower(1, 1, 2, i, j1).count
+             composition_count_sunflower(1, 1, 2, i, j1)
              for j1 in range(n + 1) for i in _compositions(n - j1, 2)
          )),
         ("sunflower(2,1,2)", ChannelSystem(4, [[1, 2, 3], [1, 2, 4]]),
          lambda n: sum(
-             composition_count_sunflower(2, 1, 2, i, j1).count
+             composition_count_sunflower(2, 1, 2, i, j1)
              for j1 in range(n + 1) for i in _compositions(n - j1, 2)
          )),
         ("path(3)", ChannelSystem(4, [[1, 2], [2, 3], [3, 4]]),
          lambda n: sum(
-             composition_count_path(a).count for a in _compositions(n, 4)
+             composition_count_path(a) for a in _compositions(n, 4)
          )),
     ]
     failures = []

@@ -11,8 +11,8 @@ from colorcap import (
     capacity_path,
     capacity_single,
     capacity_sunflower,
-    clique_number,
     count_outputs,
+    max_clique,
     pairs_graph,
     subgraph_monotonic_check,
 )
@@ -48,7 +48,7 @@ def test_general_lower_is_largest_clique_channel():
         (6, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]),
     ]:
         system = ChannelSystem(q, channels)
-        omega = clique_number(pairs_graph(system))
+        omega = len(max_clique(pairs_graph(system)))
         result = bounds_general(system)
         assert result.lower == capacity_single(omega, q).value
 

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colorcap import ChannelSystem, apply_channel, apply_system, confusable
-from colorcap.channels import validate_word
 
 
 def test_apply_channel_keeps_order():
@@ -60,14 +59,6 @@ def test_system_normalizes_input():
     assert a == b
     assert a.t == 2
     assert a.letters == frozenset({1, 2, 3})
-
-
-def test_validate_word():
-    validate_word((1, 4, 2), 4)
-    with pytest.raises(ValueError, match="position 1"):
-        validate_word((1, 5, 2), 4)
-    with pytest.raises(ValueError):
-        validate_word((1, True), 4)
 
 
 words = st.integers(2, 5).flatmap(

@@ -298,6 +298,21 @@ def test_reconstruct_one_letter_channel_exit_2(tmp_path):
                              "--views", str(views)]), 2)
 
 
+def test_reconstruct_repeated_pair_exit_2(tmp_path):
+    src, views = tmp_path / "system.json", tmp_path / "views.json"
+    src.write_text(_doc(3, [[1, 2, 3]]))
+    views.write_text(json.dumps({"views": [
+        {"pair": [1, 2], "word": [2, 1]},
+        {"pair": [2, 1], "word": [1, 2]},
+        {"pair": [1, 3], "word": [1, 3]},
+        {"pair": [2, 3], "word": [2, 3]},
+    ]}))
+    code, stdout, stderr = _main(["reconstruct", "--input", str(src), "--channel", "1",
+                                  "--views", str(views)])
+    _assert_rejected(code, stdout, stderr, 2)
+    assert stderr.startswith("error: views[1]")
+
+
 def test_unwritable_output_exit_2(tmp_path):
     out = tmp_path / "missing" / "result.json"
     _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)

@@ -163,9 +163,9 @@ def test_edge_system_counts_differ_before_reduction_boundary():
 
 def test_composition_count_sunflower_examples():
     # one core letter, two single-letter petals: C(j1+i1,i1) C(j1+i2,i2)
-    assert composition_count_sunflower(1, 1, 2, (1, 1), 1).count == 4
-    assert composition_count_sunflower(2, 3, 2, (0, 0), 2).count == 4
-    assert composition_count_sunflower(1, 2, 3, (1, 0, 2), 1).count == 2**3 * 2 * 3
+    assert composition_count_sunflower(1, 1, 2, (1, 1), 1) == 4
+    assert composition_count_sunflower(2, 3, 2, (0, 0), 2) == 4
+    assert composition_count_sunflower(1, 2, 3, (1, 0, 2), 1) == 2**3 * 2 * 3
 
 
 def test_composition_count_sunflower_validation():
@@ -176,8 +176,8 @@ def test_composition_count_sunflower_validation():
 
 
 def test_composition_count_path_examples():
-    assert composition_count_path((1, 1)).count == 2
-    assert composition_count_path((2, 1, 2)).count == 3 * 3
+    assert composition_count_path((1, 1)) == 2
+    assert composition_count_path((2, 1, 2)) == 3 * 3
     with pytest.raises(ValueError):
         composition_count_path((3,))
 
@@ -186,13 +186,13 @@ def _sunflower_sum(k, p, t, n):
     total = 0
     for j1 in range(n + 1):
         for i in _compositions(n - j1, t):
-            total += composition_count_sunflower(k, p, t, i, j1).count
+            total += composition_count_sunflower(k, p, t, i, j1)
     return total
 
 
 def _path_sum(t, n):
     return sum(
-        composition_count_path(a).count for a in _compositions(n, t + 1)
+        composition_count_path(a) for a in _compositions(n, t + 1)
     )
 
 
@@ -220,26 +220,24 @@ def test_composition_sum_three_petals():
 
 
 def test_sweep_full_channel_rate_one():
-    sweep = empirical_rate_sweep(ChannelSystem(3, [[1, 2, 3]]), 6)
-    assert not sweep.truncated
-    assert [r.rate for r in sweep.reports] == [1.0] * 6
+    reports = empirical_rate_sweep(ChannelSystem(3, [[1, 2, 3]]), 6)
+    assert [r.rate for r in reports] == [1.0] * 6
 
 
 def test_sweep_truncates_at_budget():
-    sweep = empirical_rate_sweep(
+    reports = empirical_rate_sweep(
         ChannelSystem(3, [[1], [2]]), 12, budget=3**5
     )
-    assert sweep.truncated
-    assert [r.n for r in sweep.reports] == [1, 2, 3, 4, 5]
-    assert [r.count for r in sweep.reports] == [3, 6, 10, 15, 21]
+    assert [r.n for r in reports] == [1, 2, 3, 4, 5]
+    assert [r.count for r in reports] == [3, 6, 10, 15, 21]
 
 
 def test_sweep_rates_bounded_by_exact_value():
     # finite-n rates of the 3-path stay below capacity + slack; purely
     # observational, no convergence claimed
     system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4]])
-    sweep = empirical_rate_sweep(system, 8)
-    assert all(r.rate <= 1.0 for r in sweep.reports)
+    reports = empirical_rate_sweep(system, 8)
+    assert all(r.rate <= 1.0 for r in reports)
 
 
 # separable convolution
@@ -387,3 +385,55 @@ def test_reconstruct_round_trip_property(x, data):
         for p in itertools.combinations(sorted(channel), 2)
     }
     assert reconstruct_view(views, channel) == apply_channel(x, channel)
+
+
+def _one_symbol_edits(view, pair):
+    """Every view one deletion, insertion or adjacent swap away from `view`."""
+    for i in range(len(view)):
+        yield view[:i] + view[i + 1:]
+    for i in range(len(view) + 1):
+        for s in pair:
+            yield view[:i] + (s,) + view[i:]
+    for i in range(len(view) - 1):
+        yield view[:i] + (view[i + 1], view[i]) + view[i + 2:]
+
+
+def test_reconstruct_exhaustive_one_symbol_edits():
+    # every word of length <= 5 over a 3-letter channel, with one view edited;
+    # an edit changes a length by at most one, so words up to 6 letters hold
+    # every view set that is the projections of some word
+    channel = frozenset({1, 2, 3})
+    pairs = list(itertools.combinations(sorted(channel), 2))
+
+    def projections(w):
+        return tuple(apply_channel(w, frozenset(p)) for p in pairs)
+
+    source = {projections(w): w
+              for n in range(7) for w in itertools.product(sorted(channel), repeat=n)}
+    cases = 0
+    for n in range(6):
+        for w in itertools.product(sorted(channel), repeat=n):
+            views = projections(w)
+            for k, pair in enumerate(pairs):
+                for edited in _one_symbol_edits(views[k], pair):
+                    key = views[:k] + (edited,) + views[k + 1:]
+                    pair_views = {frozenset(p): v for p, v in zip(pairs, key)}
+                    if key in source:
+                        assert reconstruct_view(pair_views, channel) == source[key]
+                    else:
+                        with pytest.raises(ReconstructionError):
+                            reconstruct_view(pair_views, channel)
+                    cases += 1
+    assert cases > 10_000
+
+
+def test_reconstruct_round_trip_long_word():
+    rng = random.Random(20261018)
+    channel = frozenset(range(1, 9))
+    x = tuple(rng.choices(sorted(channel), k=10_000))
+    views = {
+        frozenset(p): apply_channel(x, frozenset(p))
+        for p in itertools.combinations(sorted(channel), 2)
+    }
+    assert len(views) == 28
+    assert reconstruct_view(views, channel) == x

@@ -17,7 +17,6 @@ from colorcap import (
     Sunflower,
     TwoSets,
     classify,
-    clique_number,
     edge_clique_cover,
     edge_system,
     max_clique,
@@ -130,14 +129,13 @@ def test_edge_system_channels_are_edges():
 
 def test_clique_number():
     graph = pairs_graph(ChannelSystem(4, [[1, 2, 3], [2, 3, 4]]))
-    assert clique_number(graph) == 3
     assert max_clique(graph) == frozenset({1, 2, 3})
     path = pairs_graph(ChannelSystem(4, [[1, 2], [2, 3], [3, 4]]))
-    assert clique_number(path) == 2
+    assert len(max_clique(path)) == 2
 
 
 def test_clique_number_edgeless():
-    assert clique_number(PairsGraph(3, frozenset())) == 1
+    assert len(max_clique(PairsGraph(3, frozenset()))) == 1
 
 
 def test_max_clique_memory_follows_edges_not_alphabet():
