@@ -8,12 +8,12 @@ and by sandwich bounds otherwise, and checks everything against exhaustive
 enumeration.
 """
 
-from .bounds import bounds, bounds_cycle, bounds_general, subgraph_monotonic_check
+from .bounds import bounds, bounds_cycle, bounds_general
 from .capacity import (
     CapacityResult, capacity, capacity_path, capacity_single, capacity_sunflower,
     capacity_two_sets, chebyshev_U, chebyshev_W, entropy, path_profile,
 )
-from .channels import ChannelSystem, apply_channel, apply_system, confusable
+from .channels import ChannelSystem, apply_channel, apply_system
 from .oracle import (
     BudgetExceededError, EnumerationReport, ReconstructionError,
     composition_count_path, composition_count_sunflower, count_outputs,
@@ -21,9 +21,8 @@ from .oracle import (
 )
 from .systems import (
     Cycle, FullClique, General, PairsGraph, Path, Reducible, Separable,
-    SingleChannel, Sunflower, SystemClass, TwoSets, classify, edge_clique_cover,
-    edge_system, max_clique, pairs_graph, remove_dominated, restrict_alphabet,
-    separable_split,
+    SingleChannel, Sunflower, SystemClass, TwoSets, classify, edge_system,
+    max_clique, pairs_graph, remove_dominated, separable_split,
 )
 
 __version__ = "0.1.0"
@@ -60,9 +59,7 @@ __all__ = [
     "classify",
     "composition_count_path",
     "composition_count_sunflower",
-    "confusable",
     "count_outputs",
-    "edge_clique_cover",
     "edge_system",
     "empirical_rate_sweep",
     "entropy",
@@ -71,8 +68,6 @@ __all__ = [
     "path_profile",
     "reconstruct_view",
     "remove_dominated",
-    "restrict_alphabet",
     "separable_split",
-    "subgraph_monotonic_check",
     "verify_pairs_equality",
 ]

@@ -87,22 +87,3 @@ def bounds(system: ChannelSystem) -> CapacityResult:
     """
     return _dispatch(system, _bound_leaf)
 
-
-def subgraph_monotonic_check(small: ChannelSystem, large: ChannelSystem, n: int,
-                             *, budget: int | None = None) -> bool:
-    """Whether the smaller system's output count is <= the larger's at length n.
-
-    Requires the two systems to share an alphabet with pairs_graph(small) a
-    subgraph of pairs_graph(large); the count comparison is then expected to
-    hold for every n.
-    """
-    from .oracle import count_outputs
-
-    if small.q != large.q:
-        raise ValueError(f"alphabets differ: {small.q} vs {large.q}")
-    if not pairs_graph(small).edges <= pairs_graph(large).edges:
-        raise ValueError("first system's pairs graph is not a subgraph "
-                         "of the second's")
-    a = count_outputs(small, n, budget=budget).count
-    b = count_outputs(large, n, budget=budget).count
-    return a <= b

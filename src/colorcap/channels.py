@@ -65,9 +65,3 @@ def apply_system(word: Sequence[int], system: ChannelSystem) -> tuple[Word, ...]
     """Output tuple of a word: one projection per channel, in channel order."""
     return tuple(apply_channel(word, ch) for ch in system.channels)
 
-
-def confusable(x: Sequence[int], y: Sequence[int], system: ChannelSystem) -> bool:
-    """Whether two equal-length words have identical output tuples."""
-    if len(x) != len(y):
-        raise ValueError(f"words must have equal length, got {len(x)} and {len(y)}")
-    return apply_system(x, system) == apply_system(y, system)

@@ -88,13 +88,20 @@ def read_json(path: str):
 
 def write_json(doc: dict, path: str) -> None:
     text = json.dumps(doc, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
+        if path == "-":
+            # Bytes left in stdout's buffer would fail again at the flush on
+            # interpreter exit; send them to the null device instead.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Mapping, Sequence
 
-from .channels import ChannelSystem
+from .channels import ChannelSystem, apply_channel, apply_system
 from .systems import edge_system, pairs_graph, remove_dominated, separable_split
 
 DEFAULT_BUDGET = 200_000_000
@@ -55,8 +55,7 @@ def _key_set(system: ChannelSystem, n: int) -> set:
                    for ch in system.channels]
         return {b"\0".join(w.translate(None, d) for d in deletes)
                 for w in map(bytes, itertools.product(range(1, q + 1), repeat=n))}
-    chans = system.channels
-    return {tuple(tuple(a for a in w if a in ch) for ch in chans)
+    return {apply_system(w, system)
             for w in itertools.product(range(1, q + 1), repeat=n)}
 
 
@@ -163,7 +162,7 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
             out[sum(indices) - (m - 2) * j] = a
     word = tuple(out)
     for pair, v in views.items():
-        if tuple(s for s in word if s in pair) != v:
+        if apply_channel(word, pair) != v:
             raise ReconstructionError(
                 f"the views are not the projections of one word: pair {pair} disagrees")
     return word

@@ -64,19 +64,6 @@ def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
     return [ChannelSystem(system.q, [chans[i] for i in idx]) for idx in ordered]
 
 
-def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
-    """Relabel the letters actually used onto 1..m, dropping unused ones.
-
-    Output counts are invariant under the relabeling, so this is the right
-    form for counting a separable component on its own letters.
-    """
-    used = sorted(system.letters)
-    if len(used) < 2:
-        raise ValueError("restriction needs at least 2 used letters")
-    relabel = {a: i + 1 for i, a in enumerate(used)}
-    return ChannelSystem(len(used), [{relabel[a] for a in ch} for ch in system.channels])
-
-
 # ---------------------------------------------------------------------------
 # pairs graph
 
@@ -114,18 +101,25 @@ def edge_system(graph: PairsGraph) -> ChannelSystem:
     return ChannelSystem(graph.q, [set(e) for e in sorted(graph.edges)])
 
 
-def _maximal_cliques(graph: PairsGraph) -> list[frozenset[int]]:
-    """Bron-Kerbosch with pivoting over the graph's non-isolated vertices."""
+def max_clique(graph: PairsGraph) -> frozenset[int]:
+    """One maximum clique (lexicographically least among the largest).
+
+    Bron-Kerbosch with pivoting over the graph's non-isolated vertices,
+    keeping only the best maximal clique found so far.
+    """
     adj: dict[int, set[int]] = {}
     for u, v in graph.edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    vertices = set(adj)
-    out: list[frozenset[int]] = []
+    if not adj:
+        return frozenset({1}) if graph.q else frozenset()
+    # any clique found (two letters or more) beats this sentinel
+    best: tuple[int, list[int]] = (0, [])
 
     def expand(r: set, p: set, x: set):
+        nonlocal best
         if not p and not x:
-            out.append(frozenset(r))
+            best = min(best, (-len(r), sorted(r)))
             return
         pivot = max(p | x, key=lambda v: len(adj[v] & p))
         for v in list(p - adj[pivot]):
@@ -133,53 +127,8 @@ def _maximal_cliques(graph: PairsGraph) -> list[frozenset[int]]:
             p.remove(v)
             x.add(v)
 
-    if vertices:
-        expand(set(), set(vertices), set())
-    return out
-
-
-def max_clique(graph: PairsGraph) -> frozenset[int]:
-    """One maximum clique (lexicographically least among the largest)."""
-    cliques = _maximal_cliques(graph)
-    if not cliques:
-        return frozenset({1}) if graph.q else frozenset()
-    return min(cliques, key=lambda c: (-len(c), sorted(c)))
-
-
-def edge_clique_cover(graph: PairsGraph) -> tuple[frozenset[int], ...]:
-    """A minimum set of cliques covering every edge (intersection number).
-
-    Exact search by iterative deepening over maximal cliques, which is safe:
-    any cover stays a cover after enlarging each member to a maximal clique.
-    Guarded to q <= 16; read as channels, the cover has the same pairs graph.
-    """
-    if graph.q > 16:
-        raise ValueError(f"exact edge clique cover guarded to q <= 16, got q={graph.q}")
-    edges = sorted(graph.edges)
-    if not edges:
-        raise ValueError("graph has no edges to cover")
-    cliques = sorted(_maximal_cliques(graph), key=lambda c: (-len(c), sorted(c)))
-    clique_edges = [frozenset(itertools.combinations(sorted(c), 2)) for c in cliques]
-    by_edge = {e: [i for i, ce in enumerate(clique_edges) if e in ce] for e in edges}
-    all_edges = frozenset(edges)
-
-    def search(covered: frozenset, chosen: list[int], depth: int) -> list[int] | None:
-        if covered == all_edges:
-            return chosen
-        if depth == 0:
-            return None
-        target = next(e for e in edges if e not in covered)
-        for i in by_edge[target]:
-            found = search(covered | clique_edges[i], chosen + [i], depth - 1)
-            if found is not None:
-                return found
-        return None
-
-    for size in range(1, len(edges) + 1):
-        picked = search(frozenset(), [], size)
-        if picked is not None:
-            return tuple(cliques[i] for i in picked)
-    raise AssertionError("maximal cliques always cover all edges")
+    expand(set(), set(adj), set())
+    return frozenset(best[1])
 
 
 # ---------------------------------------------------------------------------

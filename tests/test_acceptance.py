@@ -27,10 +27,10 @@ from colorcap import (
     pairs_graph,
     path_profile,
     reconstruct_view,
-    restrict_alphabet,
     separable_split,
 )
 from colorcap.cli import TABLE_SYSTEMS
+from helpers import restrict_alphabet
 
 
 def _report(num, name, failures, elapsed, budget):

@@ -14,7 +14,6 @@ from colorcap import (
     count_outputs,
     max_clique,
     pairs_graph,
-    subgraph_monotonic_check,
 )
 
 # oracle counts for the 4-cycle over q=4, frozen from exhaustive enumeration
@@ -152,13 +151,21 @@ def test_exact_methods_inside_general_bounds():
         assert sandwich.lower - 1e-12 <= exact.value <= sandwich.upper + 1e-12
 
 
-def test_subgraph_monotonic_check():
-    small = ChannelSystem(4, [[1, 2], [2, 3]])
-    large = ChannelSystem(4, [[1, 2], [2, 3], [3, 4]])
-    assert subgraph_monotonic_check(small, large, 5)
-    with pytest.raises(ValueError):
-        subgraph_monotonic_check(large, small, 5)
-    with pytest.raises(ValueError):
-        subgraph_monotonic_check(
-            small, ChannelSystem(5, [[1, 2], [2, 3], [3, 4]]), 5
-        )
+def test_count_is_monotone_in_the_pairs_graph():
+    chains = [
+        [[[1, 2], [2, 3]],
+         [[1, 2], [2, 3], [3, 4]],
+         [[1, 2], [2, 3], [3, 4], [4, 1]],
+         [[1, 2, 3], [3, 4], [4, 1]],
+         [[1, 2, 3, 4]]],
+        [[[1, 2]],
+         [[1, 2], [1, 3]],
+         [[1, 2], [1, 3], [1, 4]],
+         [[1, 2], [1, 3, 4]]],
+    ]
+    for chain in chains:
+        systems = [ChannelSystem(4, channels) for channels in chain]
+        for small, large in zip(systems, systems[1:]):
+            assert pairs_graph(small).edges <= pairs_graph(large).edges
+            for n in range(1, 7):
+                assert count_outputs(small, n).count <= count_outputs(large, n).count

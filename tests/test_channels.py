@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colorcap import ChannelSystem, apply_channel, apply_system, confusable
+from colorcap import ChannelSystem, apply_channel, apply_system
+
+
+def confusable(x, y, system):
+    """Whether two equal-length words have identical output tuples."""
+    if len(x) != len(y):
+        raise ValueError(f"words must have equal length, got {len(x)} and {len(y)}")
+    return apply_system(x, system) == apply_system(y, system)
 
 
 def test_apply_channel_keeps_order():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colorcap
 import colorcap.cli
 from colorcap.cli import format_sig, main, parse_system_document
 
@@ -49,6 +50,30 @@ def test_import_starts_no_process_machinery():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_export_list_names_exist():
+    for name in colorcap.__all__:
+        assert hasattr(colorcap, name), name
+
+
+def test_failed_stdout_write_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    targets = [write_end]
+    if os.path.exists("/dev/full"):
+        targets.append(os.open("/dev/full", os.O_WRONLY))
+    try:
+        for fd in targets:
+            proc = subprocess.run([sys.executable, "-m", PKG, "table", "--which", "q4"],
+                                  stdin=subprocess.DEVNULL, stdout=fd,
+                                  stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == 2, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("error: cannot write -: ")
+    finally:
+        for fd in targets:
+            os.close(fd)
 
 
 def test_parse_rejects_bad_documents():

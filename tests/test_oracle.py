@@ -19,10 +19,10 @@ from colorcap import (
     pairs_graph,
     reconstruct_view,
     remove_dominated,
-    restrict_alphabet,
     separable_split,
     verify_pairs_equality,
 )
+from helpers import restrict_alphabet
 
 
 def _compositions(total, parts):

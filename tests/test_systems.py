@@ -17,14 +17,13 @@ from colorcap import (
     Sunflower,
     TwoSets,
     classify,
-    edge_clique_cover,
     edge_system,
     max_clique,
     pairs_graph,
     remove_dominated,
-    restrict_alphabet,
     separable_split,
 )
+from helpers import restrict_alphabet
 
 
 def test_remove_dominated():
@@ -150,31 +149,19 @@ def test_max_clique_memory_follows_edges_not_alphabet():
     assert peak < 10**6
 
 
-def test_edge_clique_cover_round_trip():
-    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
-    graph = pairs_graph(system)
-    cover = edge_clique_cover(graph)
-    assert len(cover) == 2
-    assert set(cover) == {frozenset({1, 2, 3}), frozenset({2, 3, 4})}
-    # the cover is itself a system with the same pairs graph
-    assert pairs_graph(ChannelSystem(4, cover)) == graph
-
-
-def test_edge_clique_cover_cycle_needs_all_edges():
-    graph = pairs_graph(ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [1, 4]]))
-    cover = edge_clique_cover(graph)
-    assert len(cover) == 4
-    assert all(len(c) == 2 for c in cover)
-
-
-def test_edge_clique_cover_triangle():
-    graph = pairs_graph(ChannelSystem(3, [[1, 2], [2, 3], [1, 3]]))
-    assert edge_clique_cover(graph) == (frozenset({1, 2, 3}),)
-
-
-def test_edge_clique_cover_rejects_edgeless():
-    with pytest.raises(ValueError):
-        edge_clique_cover(PairsGraph(3, frozenset()))
+def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
+    # K_24 minus a perfect matching has 2^12 maximal cliques, all of size 12
+    matching = {(a, a + 1) for a in range(1, 24, 2)}
+    edges = frozenset(itertools.combinations(range(1, 25), 2)) - matching
+    graph = PairsGraph(24, edges)
+    tracemalloc.start()
+    try:
+        clique = max_clique(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clique == frozenset(range(1, 25, 2))
+    assert peak < 10**6
 
 
 # classification
