@@ -24,15 +24,9 @@ def remove_dominated(system: ChannelSystem) -> ChannelSystem:
     Survivors keep their original order.  Idempotent.
     """
     chans = system.channels
-    keep = []
-    for i, ch in enumerate(chans):
-        dominated = any(
-            ch < other or (ch == other and j < i)
-            for j, other in enumerate(chans) if j != i
-        )
-        if not dominated:
-            keep.append(ch)
-    return ChannelSystem(system.q, keep)
+    return ChannelSystem(system.q, [
+        ch for i, ch in enumerate(chans)
+        if not any(ch < other for other in chans) and ch not in chans[:i]])
 
 
 def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
@@ -43,22 +37,16 @@ def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
     Returns [system] when no split exists.
     """
     chans = system.channels
-    parent = list(range(len(chans)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(len(chans)), 2):
-        if chans[i] & chans[j]:
-            parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(chans)):
-        groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda idx: idx[0])
+    groups: list[tuple[frozenset[int], list[int]]] = []  # (letters, channel indices)
+    for i, ch in enumerate(chans):
+        letters, idx, apart = ch, [i], []
+        for group_letters, group_idx in groups:
+            if group_letters & ch:
+                letters, idx = letters | group_letters, idx + group_idx
+            else:
+                apart.append((group_letters, group_idx))
+        groups = apart + [(letters, idx)]
+    ordered = sorted(sorted(idx) for _, idx in groups)
     if len(ordered) == 1:
         return [system]
     return [ChannelSystem(system.q, [chans[i] for i in idx]) for idx in ordered]
@@ -104,8 +92,8 @@ def edge_system(graph: PairsGraph) -> ChannelSystem:
 def max_clique(graph: PairsGraph) -> frozenset[int]:
     """One maximum clique (lexicographically least among the largest).
 
-    Bron-Kerbosch with pivoting over the graph's non-isolated vertices,
-    keeping only the best maximal clique found so far.
+    Bron-Kerbosch with pivoting over the graph's non-isolated vertices, run on
+    an explicit stack and keeping only the best maximal clique found so far.
     """
     adj: dict[int, set[int]] = {}
     for u, v in graph.edges:
@@ -115,19 +103,18 @@ def max_clique(graph: PairsGraph) -> frozenset[int]:
         return frozenset({1}) if graph.q else frozenset()
     # any clique found (two letters or more) beats this sentinel
     best: tuple[int, list[int]] = (0, [])
-
-    def expand(r: set, p: set, x: set):
-        nonlocal best
+    stack = [(set(), set(adj), set())]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             best = min(best, (-len(r), sorted(r)))
-            return
+            continue
         pivot = max(p | x, key=lambda v: len(adj[v] & p))
         for v in list(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            # the child sees p and x after its earlier siblings moved across
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
             p.remove(v)
             x.add(v)
-
-    expand(set(), set(adj), set())
     return frozenset(best[1])
 
 
@@ -208,10 +195,10 @@ SystemClass = Union[
 def classify(system: ChannelSystem) -> SystemClass:
     """Structural class of a system, by precedence.
 
-    Reducible and Separable fire first; then SingleChannel, FullClique, and
-    the exact shapes (TwoSets for t = 2, Sunflower, Path, Cycle), matched on
-    the channel sets themselves rather than up to graph isomorphism.  The
-    order of channels never affects the result.
+    Reducible and Separable fire first; then SingleChannel; then the shapes
+    TwoSets (t = 2), Sunflower, Path and Cycle, read off the channel sets;
+    then FullClique, the only test that builds the pairs graph (no shape has
+    a complete one); then General.  Channel order never affects the result.
     """
     reduced = remove_dominated(system)
     if reduced != system:
@@ -222,8 +209,6 @@ def classify(system: ChannelSystem) -> SystemClass:
     chans = system.channels
     if len(chans) == 1:
         return SingleChannel(len(chans[0]))
-    if pairs_graph(system).is_complete:
-        return FullClique()
     if len(chans) == 2:
         a, b = chans
         # irreducible with t = 2 forces k, p1, p2 >= 1
@@ -234,12 +219,12 @@ def classify(system: ChannelSystem) -> SystemClass:
             u & v == core for u, v in itertools.combinations(chans, 2)):
         return Sunflower(len(core), sizes.pop() - len(core), len(chans))
     if all(len(c) == 2 for c in chans):
-        # non-separable 2-sets form a connected graph; its shape is read off
-        # the degree profile
-        degrees = Counter(a for ch in chans for a in ch)
-        degs = sorted(degrees.values())
+        # connected 2-sets: the degree profile tells a path from a cycle
+        degs = sorted(Counter(a for ch in chans for a in ch).values())
         if degs[-1] <= 2 and degs.count(1) == 2:
             return Path(len(chans))
         if degs[0] == 2 and degs[-1] == 2 and len(chans) >= 4:
             return Cycle(len(chans))
+    if pairs_graph(system).is_complete:
+        return FullClique()
     return General()

@@ -1,9 +1,14 @@
+import inspect
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import colorcap.systems
 from colorcap import (
     ChannelSystem,
     Cycle,
@@ -16,6 +21,7 @@ from colorcap import (
     SingleChannel,
     Sunflower,
     TwoSets,
+    capacity,
     classify,
     edge_system,
     max_clique,
@@ -164,6 +170,19 @@ def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
     assert peak < 10**6
 
 
+def test_max_clique_does_not_recurse_per_clique_letter():
+    # one 300-letter channel closed into a triangle by letter 301
+    system = ChannelSystem(301, [range(1, 301), [300, 301], [301, 1]])
+    graph = pairs_graph(system)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        clique = max_clique(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert clique == frozenset(range(1, 301))
+
+
 # classification
 
 
@@ -267,3 +286,90 @@ def test_sunflower_needs_common_core():
     # pairwise intersections exist but differ, so not a sunflower
     cls = classify(ChannelSystem(6, [[1, 2, 3], [3, 4, 5], [5, 6, 1]]))
     assert cls == General()
+
+
+# method name -> (system, its class)
+SHAPES = {
+    "two_sets": (ChannelSystem(4, [[1, 2], [1, 3, 4]]), TwoSets(k=1, p1=1, p2=2)),
+    "sunflower": (ChannelSystem(4, [[1, 2], [1, 3], [1, 4]]), Sunflower(k=1, p=1, t=3)),
+    "path": (ChannelSystem(4, [[1, 2], [2, 3], [3, 4]]), Path(t=3)),
+    "cycle": (ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]]), Cycle(t=4)),
+}
+
+
+class _PairsGraphBuilt(Exception):
+    pass
+
+
+def _refuse_pairs_graph(system):
+    raise _PairsGraphBuilt
+
+
+@pytest.mark.parametrize("method", SHAPES)
+def test_shapes_are_read_off_the_channel_sets(monkeypatch, method):
+    monkeypatch.setattr(colorcap.systems, "pairs_graph", _refuse_pairs_graph)
+    # colorcap.bounds names the function, so reach the module through sys.modules
+    bounds_module = sys.modules["colorcap.bounds"]
+    monkeypatch.setattr(bounds_module, "pairs_graph", _refuse_pairs_graph)
+    system, expected = SHAPES[method]
+    assert classify(system) == expected
+    assert capacity(system).method == method
+
+
+@pytest.mark.parametrize("channels", [
+    [[1, 2], [2, 3], [1, 3]],
+    [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]],
+])
+def test_full_clique_and_general_build_the_pairs_graph(monkeypatch, channels):
+    monkeypatch.setattr(colorcap.systems, "pairs_graph", _refuse_pairs_graph)
+    system = ChannelSystem(len({a for ch in channels for a in ch}), channels)
+    with pytest.raises(_PairsGraphBuilt):
+        classify(system)
+
+
+@st.composite
+def small_systems(draw):
+    """Systems with q <= 7 and t <= 6: arbitrary ones, and relabeled
+    sunflowers, paths and cycles, which arbitrary draws seldom hit."""
+    q = draw(st.integers(2, 7))
+    letters = draw(st.permutations(range(1, q + 1)))
+    shape = draw(st.sampled_from(
+        ["any"] + ["sunflower", "path"] * (q >= 3) + ["cycle"] * (q >= 4)))
+    if shape == "sunflower":
+        k = draw(st.integers(1, q - 2))
+        p = draw(st.integers(1, (q - k) // 2))
+        t = draw(st.integers(2, min(6, (q - k) // p)))
+        channels = [letters[:k] + letters[k + i * p:k + i * p + p] for i in range(t)]
+    elif shape == "path":
+        t = draw(st.integers(2, min(6, q - 1)))
+        channels = [letters[i:i + 2] for i in range(t)]
+    elif shape == "cycle":
+        t = draw(st.integers(4, min(6, q)))
+        channels = [[letters[i], letters[(i + 1) % t]] for i in range(t)]
+    else:
+        channel = st.frozensets(st.integers(1, q), min_size=1, max_size=4)
+        channels = draw(st.lists(channel, min_size=1, max_size=6))
+    return ChannelSystem(q, draw(st.permutations(channels)))
+
+
+def _leaves(system):
+    """(system, class) for every irreducible leaf below the system."""
+    cls = classify(system)
+    if isinstance(cls, Reducible):
+        return _leaves(cls.reduced)
+    if isinstance(cls, Separable):
+        return [leaf for part in cls.components for leaf in _leaves(part)]
+    return [(system, cls)]
+
+
+@given(small_systems())
+def test_no_shape_has_a_complete_pairs_graph(system):
+    # classify tests the shapes before it builds the pairs graph, which is
+    # sound only because of this: two sets, a sunflower's petals, a path's
+    # ends and a cycle's s0, s2 each give two letters that share no channel
+    for leaf, cls in _leaves(system):
+        complete = pairs_graph(leaf).is_complete
+        if isinstance(cls, (TwoSets, Sunflower, Path, Cycle)):
+            assert not complete
+        if isinstance(cls, FullClique):
+            assert complete
