@@ -11,18 +11,17 @@ enumeration.
 from .bounds import bounds, bounds_cycle, bounds_general
 from .capacity import (
     CapacityResult, capacity, capacity_path, capacity_single, capacity_sunflower,
-    capacity_two_sets, chebyshev_U, chebyshev_W, entropy, path_profile,
+    capacity_two_sets, entropy, path_profile,
 )
 from .channels import ChannelSystem, apply_channel, apply_system
 from .oracle import (
-    BudgetExceededError, EnumerationReport, ReconstructionError,
-    composition_count_path, composition_count_sunflower, count_outputs,
+    BudgetExceededError, EnumerationReport, ReconstructionError, count_outputs,
     empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
 )
 from .systems import (
-    Cycle, FullClique, General, PairsGraph, Path, Reducible, Separable,
-    SingleChannel, Sunflower, SystemClass, TwoSets, classify, edge_system,
-    max_clique, pairs_graph, remove_dominated, separable_split,
+    Cycle, FullClique, General, Path, Reducible, Separable, SingleChannel,
+    Sunflower, SystemClass, TwoSets, classify, edge_system, max_clique,
+    remove_dominated, separable_split,
 )
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ __all__ = [
     "EnumerationReport",
     "FullClique",
     "General",
-    "PairsGraph",
     "Path",
     "Reducible",
     "ReconstructionError",
@@ -54,17 +52,12 @@ __all__ = [
     "capacity_single",
     "capacity_sunflower",
     "capacity_two_sets",
-    "chebyshev_U",
-    "chebyshev_W",
     "classify",
-    "composition_count_path",
-    "composition_count_sunflower",
     "count_outputs",
     "edge_system",
     "empirical_rate_sweep",
     "entropy",
     "max_clique",
-    "pairs_graph",
     "path_profile",
     "reconstruct_view",
     "remove_dominated",

@@ -2,9 +2,10 @@
 
 For an irreducible system the clique number of the pairs graph sandwiches
 the capacity: a clique of co-occurring letters is transmitted losslessly,
-and a counting argument caps the rate at log_q(omega * t * e).  Cycles of
-2-set channels get a tailored sandwich: the cycle contains a path (lower)
-and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
+and a counting argument caps the rate at log_q(omega * t * e).  The clique
+is searched over letter classes read off the channels, never over edges.
+Cycles of 2-set channels get a tailored sandwich: the cycle contains a path
+(lower) and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .capacity import (
 )
 from .channels import ChannelSystem
 from .systems import (
-    Cycle, FullClique, SingleChannel, SystemClass, max_clique, pairs_graph,
-    remove_dominated, separable_split,
+    Cycle, FullClique, SingleChannel, SystemClass, max_clique, remove_dominated,
+    separable_split,
 )
 
 
@@ -32,7 +33,7 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     if remove_dominated(system) != system or len(separable_split(system)) > 1:
         raise ValueError("general bounds expect an irreducible system; "
                          "reduce and split it first")
-    clique = max_clique(pairs_graph(system))
+    clique = max_clique(system)
     omega = len(clique)
     lower = _logq(omega, system.q)
     upper = min(1.0, _logq(omega * system.t * math.e, system.q))

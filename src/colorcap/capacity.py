@@ -34,32 +34,6 @@ def _logq(x: float, q: int) -> float:
     return math.log(x) / math.log(q)
 
 
-def chebyshev_U(i: int, x):
-    """Chebyshev polynomial of the second kind, U_0 = 1, U_1 = 2x.
-
-    The recurrence U_i = 2x U_{i-1} - U_{i-2} is evaluated in the arithmetic
-    of x, so integer (or Fraction) inputs stay exact.
-    """
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    u_prev = x * 0 + 1
-    if i == 0:
-        return u_prev
-    u = 2 * x
-    for _ in range(i - 1):
-        u_prev, u = u, 2 * x * u - u_prev
-    return u
-
-
-def chebyshev_W(i: int, x):
-    """Chebyshev polynomial of the fourth kind, W_i = U_i + U_{i-1}."""
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
-    if i == 0:
-        return x * 0 + 1
-    return chebyshev_U(i, x) + chebyshev_U(i - 1, x)
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     """Either an exact capacity or a [lower, upper] sandwich, with witness."""

@@ -36,13 +36,17 @@ class SchemaError(ValueError):
 # document parsing and serialization
 
 
+def _refuse_unknown(obj: dict, fields: set, where: str = "") -> None:
+    unknown = sorted(set(obj) - fields)
+    if unknown:
+        raise SchemaError(f"{where}unknown field {unknown[0]!r}")
+
+
 def parse_system_document(obj) -> tuple[ChannelSystem, dict]:
     """Validate a {"q", "channels", "label"?} document; errors name the spot."""
     if not isinstance(obj, dict):
         raise SchemaError("top-level document must be a JSON object")
-    unknown = sorted(set(obj) - {"q", "channels", "label"})
-    if unknown:
-        raise SchemaError(f"unknown field {unknown[0]!r}")
+    _refuse_unknown(obj, {"q", "channels", "label"})
     if "q" not in obj:
         raise SchemaError('missing field "q"')
     q = obj["q"]
@@ -239,6 +243,8 @@ def cmd_reconstruct(args) -> dict:
         raise SchemaError(f"--channel {args.channel} has one letter; "
                           "reconstruction needs at least 2")
     views_doc = read_json(args.views)
+    if isinstance(views_doc, dict):
+        _refuse_unknown(views_doc, {"views"}, "views document: ")
     if not isinstance(views_doc, dict) or "views" not in views_doc:
         raise SchemaError('views document must be an object with a "views" list')
     entries = views_doc["views"]
@@ -246,6 +252,8 @@ def cmd_reconstruct(args) -> dict:
         raise SchemaError('"views" must be a list')
     pair_views = {}
     for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            _refuse_unknown(entry, {"pair", "word"}, f"views[{i}]: ")
         if not isinstance(entry, dict) or "pair" not in entry or "word" not in entry:
             raise SchemaError(f'views[{i}] must be an object with "pair" and "word"')
         pair = entry["pair"]

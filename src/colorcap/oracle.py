@@ -1,9 +1,8 @@
 """Brute-force ground truth for output counting and reconstruction.
 
 Everything here is exact: words are enumerated exhaustively (guarded by a
-state budget), counts are arbitrary-precision integers, and the per-profile
-composition counts are closed-form products of binomials that must agree
-with enumeration wherever both apply.
+state budget), counts are arbitrary-precision integers, and reconstruction
+returns a word only if it reproduces every view it was built from.
 """
 
 from __future__ import annotations
@@ -12,11 +11,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from math import comb, prod
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .channels import ChannelSystem, apply_channel, apply_system
-from .systems import edge_system, pairs_graph, remove_dominated, separable_split
+from .systems import edge_system, remove_dominated, separable_split
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -79,31 +77,6 @@ def count_outputs(system: ChannelSystem, n: int, *,
     # log of the exact power, so a full channel reports a rate of exactly 1.0
     rate = 0.0 if n == 0 else math.log(count) / math.log(system.q ** n)
     return EnumerationReport(n=n, count=count, rate=rate, elapsed=elapsed)
-
-
-def composition_count_sunflower(k: int, p: int, t: int, i: Sequence[int],
-                                j1: int) -> int:
-    """Outputs of (k,p,t)-sunflower words with i[l] letters from petal l and
-    j1 core letters:  k^j1 * p^sum(i) * prod_l C(j1 + i[l], i[l]).
-    """
-    i = tuple(i)
-    if len(i) != t:
-        raise ValueError(f"need one petal count per channel, got {len(i)} for t={t}")
-    if j1 < 0 or any(x < 0 for x in i):
-        raise ValueError("composition entries must be >= 0")
-    return k ** j1 * p ** sum(i) * prod(comb(j1 + x, x) for x in i)
-
-
-def composition_count_path(a: Sequence[int]) -> int:
-    """Outputs of path words with a[i] copies of the i-th path letter:
-    prod_i C(a[i-1] + a[i], a[i]) over consecutive pairs.
-    """
-    a = tuple(a)
-    if len(a) < 2:
-        raise ValueError("a path profile needs at least two letter counts")
-    if any(x < 0 for x in a):
-        raise ValueError("composition entries must be >= 0")
-    return prod(comb(a[i - 1] + a[i], a[i]) for i in range(1, len(a)))
 
 
 class ReconstructionError(ValueError):
@@ -180,7 +153,7 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     if remove_dominated(system) != system or len(separable_split(system)) > 1:
         raise ValueError("pairs equality expects an irreducible system; "
                          "reduce and split it first")
-    edges = edge_system(pairs_graph(system))
+    edges = edge_system(system)
     a = count_outputs(system, n, budget=budget).count
     b = count_outputs(edges, n, budget=budget).count
     return a == b

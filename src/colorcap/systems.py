@@ -5,7 +5,8 @@ function of the larger one), so systems reduce to antichains.  Channels that
 share no letters across two groups act independently, so systems split into
 separable components.  For an irreducible system the pairs graph, whose
 edges are the 2-subsets co-occurring inside some channel, carries everything
-that matters for counting distinguishable outputs.
+that matters for counting distinguishable outputs.  It is read off the
+channels through letter classes; only edge_system lists its edges.
 """
 
 from __future__ import annotations
@@ -53,57 +54,49 @@ def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
 
 
 # ---------------------------------------------------------------------------
-# pairs graph
+# pairs graph, read off the channels
 
 
-@dataclass(frozen=True)
-class PairsGraph:
-    """Graph on the vertex set [q] whose edges are co-occurring letter pairs."""
+def _letter_classes(system: ChannelSystem) -> dict[frozenset[int], list[int]]:
+    """Visible letters keyed by the set of channel indices they lie in.
 
-    q: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.q):
-                raise ValueError(f"edge ({u},{v}) not an ordered pair in 1..{self.q}")
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.edges) == self.q * (self.q - 1) // 2
-
-
-def pairs_graph(system: ChannelSystem) -> PairsGraph:
-    """Edges are all 2-subsets appearing together inside some channel."""
-    edges = set()
-    for ch in system.channels:
-        for u, v in itertools.combinations(sorted(ch), 2):
-            edges.add((u, v))
-    return PairsGraph(system.q, frozenset(edges))
+    Letters of one class are twins in the pairs graph: pairwise adjacent, with
+    one closed neighbourhood.  Two classes are adjacent exactly when they share
+    a channel, so every maximal clique holds a class wholly or not at all.
+    """
+    where: dict[int, list[int]] = {}
+    for i, ch in enumerate(system.channels):
+        for a in ch:
+            where.setdefault(a, []).append(i)
+    classes: dict[frozenset[int], list[int]] = {}
+    for a, idx in where.items():
+        classes.setdefault(frozenset(idx), []).append(a)
+    return classes
 
 
-def edge_system(graph: PairsGraph) -> ChannelSystem:
-    """The system whose channels are the graph's edges, in lexicographic order."""
-    if not graph.edges:
-        raise ValueError("graph has no edges")
-    return ChannelSystem(graph.q, [set(e) for e in sorted(graph.edges)])
+def edge_system(system: ChannelSystem) -> ChannelSystem:
+    """The system whose channels are the pairs graph's edges, in lexicographic order."""
+    edges = {e for ch in system.channels for e in itertools.combinations(sorted(ch), 2)}
+    if not edges:
+        raise ValueError("pairs graph has no edges")
+    return ChannelSystem(system.q, sorted(edges))
 
 
-def max_clique(graph: PairsGraph) -> frozenset[int]:
-    """One maximum clique (lexicographically least among the largest).
-
-    Bron-Kerbosch with pivoting over the graph's non-isolated vertices, run on
+def max_clique(system: ChannelSystem) -> frozenset[int]:
+    """One maximum clique of the pairs graph (lexicographically least among
+    the largest): Bron-Kerbosch with pivoting over the letter classes, run on
     an explicit stack and keeping only the best maximal clique found so far.
     """
-    adj: dict[int, set[int]] = {}
-    for u, v in graph.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    if not adj:
-        return frozenset({1}) if graph.q else frozenset()
-    # any clique found (two letters or more) beats this sentinel
-    best: tuple[int, list[int]] = (0, [])
-    stack = [(set(), set(adj), set())]
+    classes = _letter_classes(system)
+    members = [tuple(letters) for letters in classes.values()]
+    holds: list[set[int]] = [set() for _ in system.channels]
+    for c, idx in enumerate(classes):
+        for i in idx:
+            holds[i].add(c)
+    adj = [set().union(*(holds[i] for i in idx)) - {c} for c, idx in enumerate(classes)]
+    # a single letter is a clique of the graph on [q]; any two letters beat it
+    best: tuple[int, list[int]] = (-1, [1])
+    stack = [((), set(range(len(adj))), set())]
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
@@ -112,7 +105,7 @@ def max_clique(graph: PairsGraph) -> frozenset[int]:
         pivot = max(p | x, key=lambda v: len(adj[v] & p))
         for v in list(p - adj[pivot]):
             # the child sees p and x after its earlier siblings moved across
-            stack.append((r | {v}, p & adj[v], x & adj[v]))
+            stack.append((r + members[v], p & adj[v], x & adj[v]))
             p.remove(v)
             x.add(v)
     return frozenset(best[1])
@@ -197,8 +190,8 @@ def classify(system: ChannelSystem) -> SystemClass:
 
     Reducible and Separable fire first; then SingleChannel; then the shapes
     TwoSets (t = 2), Sunflower, Path and Cycle, read off the channel sets;
-    then FullClique, the only test that builds the pairs graph (no shape has
-    a complete one); then General.  Channel order never affects the result.
+    then FullClique, read off the letter classes (no shape has a complete
+    pairs graph); then General.  Channel order never affects the result.
     """
     reduced = remove_dominated(system)
     if reduced != system:
@@ -225,6 +218,8 @@ def classify(system: ChannelSystem) -> SystemClass:
             return Path(len(chans))
         if degs[0] == 2 and degs[-1] == 2 and len(chans) >= 4:
             return Cycle(len(chans))
-    if pairs_graph(system).is_complete:
+    classes = _letter_classes(system)
+    if sum(map(len, classes.values())) == system.q and all(
+            u & v for u, v in itertools.combinations(classes, 2)):
         return FullClique()
     return General()

@@ -1,5 +1,9 @@
 """Helpers shared by several test modules; pytest collects nothing here."""
 
+import itertools
+from math import comb, prod
+from typing import Sequence
+
 from colorcap import ChannelSystem
 
 
@@ -14,3 +18,71 @@ def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
         raise ValueError("restriction needs at least 2 used letters")
     relabel = {a: i + 1 for i, a in enumerate(used)}
     return ChannelSystem(len(used), [{relabel[a] for a in ch} for ch in system.channels])
+
+
+def pairs(system: ChannelSystem) -> set[tuple[int, int]]:
+    """The pairs graph's edges: every letter pair (u < v) sharing a channel."""
+    return {pair for ch in system.channels
+            for pair in itertools.combinations(sorted(ch), 2)}
+
+
+def brute_max_clique(system: ChannelSystem) -> frozenset[int]:
+    """The lexicographically least largest subset of [q] whose pairs all
+    share a channel, by trying every subset; {1} when there is no edge."""
+    edges = pairs(system)
+    for size in range(system.q, 1, -1):
+        for subset in itertools.combinations(range(1, system.q + 1), size):
+            if all(pair in edges for pair in itertools.combinations(subset, 2)):
+                return frozenset(subset)
+    return frozenset({1})
+
+
+def chebyshev_U(i: int, x):
+    """Chebyshev polynomial of the second kind, U_0 = 1, U_1 = 2x.
+
+    The recurrence U_i = 2x U_{i-1} - U_{i-2} is evaluated in the arithmetic
+    of x, so integer (or Fraction) inputs stay exact.
+    """
+    if i < 0:
+        raise ValueError(f"index must be >= 0, got {i}")
+    u_prev = x * 0 + 1
+    if i == 0:
+        return u_prev
+    u = 2 * x
+    for _ in range(i - 1):
+        u_prev, u = u, 2 * x * u - u_prev
+    return u
+
+
+def chebyshev_W(i: int, x):
+    """Chebyshev polynomial of the fourth kind, W_i = U_i + U_{i-1}."""
+    if i < 0:
+        raise ValueError(f"index must be >= 0, got {i}")
+    if i == 0:
+        return x * 0 + 1
+    return chebyshev_U(i, x) + chebyshev_U(i - 1, x)
+
+
+def composition_count_sunflower(k: int, p: int, t: int, i: Sequence[int],
+                                j1: int) -> int:
+    """Outputs of (k,p,t)-sunflower words with i[l] letters from petal l and
+    j1 core letters:  k^j1 * p^sum(i) * prod_l C(j1 + i[l], i[l]).
+    """
+    i = tuple(i)
+    if len(i) != t:
+        raise ValueError(f"need one petal count per channel, got {len(i)} for t={t}")
+    if j1 < 0 or any(x < 0 for x in i):
+        raise ValueError("composition entries must be >= 0")
+    return k ** j1 * p ** sum(i) * prod(comb(j1 + x, x) for x in i)
+
+
+def composition_count_path(a: Sequence[int]) -> int:
+    """Outputs of path words with a[i] copies of the i-th path letter:
+    prod_i C(a[i-1] + a[i], a[i]) over consecutive pairs.
+    """
+    a = tuple(a)
+    if len(a) < 2:
+        raise ValueError("a path profile needs at least two letter counts")
+    if any(x < 0 for x in a):
+        raise ValueError("composition entries must be >= 0")
+    return prod(comb(a[i - 1] + a[i], a[i]) for i in range(1, len(a)))

@@ -18,19 +18,20 @@ from colorcap import (
     capacity_path,
     capacity_sunflower,
     capacity_two_sets,
-    chebyshev_U,
-    chebyshev_W,
-    composition_count_path,
-    composition_count_sunflower,
     count_outputs,
     edge_system,
-    pairs_graph,
     path_profile,
     reconstruct_view,
     separable_split,
 )
 from colorcap.cli import TABLE_SYSTEMS
-from helpers import restrict_alphabet
+from helpers import (
+    chebyshev_U,
+    chebyshev_W,
+    composition_count_path,
+    composition_count_sunflower,
+    restrict_alphabet,
+)
 
 
 def _report(num, name, failures, elapsed, budget):
@@ -110,7 +111,7 @@ def test_criterion_2_pairs_graph_equality():
     for q in (2, 3, 4):
         for system in _irreducible_families(q):
             families += 1
-            edges = edge_system(pairs_graph(system))
+            edges = edge_system(system)
             for n in range(1, 7):
                 if counted(system, n) != counted(edges, n):
                     failures.append(

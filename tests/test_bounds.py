@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,8 +14,8 @@ from colorcap import (
     capacity_sunflower,
     count_outputs,
     max_clique,
-    pairs_graph,
 )
+from helpers import pairs
 
 # oracle counts for the 4-cycle over q=4, frozen from exhaustive enumeration
 CYCLE_4_COUNTS = {
@@ -47,9 +48,23 @@ def test_general_lower_is_largest_clique_channel():
         (6, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]),
     ]:
         system = ChannelSystem(q, channels)
-        omega = len(max_clique(pairs_graph(system)))
+        omega = len(max_clique(system))
         result = bounds_general(system)
         assert result.lower == capacity_single(omega, q).value
+
+
+def test_general_bounds_memory_follows_channels_not_pairs():
+    # two sets whose pairs graph has ~30,000 edges: one 200-letter clique
+    system = ChannelSystem(300, [range(1, 201), range(101, 301)])
+    tracemalloc.start()
+    try:
+        result = bounds(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.witness["omega"] == 200
+    assert result.witness["clique"] == list(range(1, 201))
+    assert peak < 10**6
 
 
 def test_cycle_bounds_are_valid_intervals():
@@ -166,6 +181,6 @@ def test_count_is_monotone_in_the_pairs_graph():
     for chain in chains:
         systems = [ChannelSystem(4, channels) for channels in chain]
         for small, large in zip(systems, systems[1:]):
-            assert pairs_graph(small).edges <= pairs_graph(large).edges
+            assert pairs(small) <= pairs(large)
             for n in range(1, 7):
                 assert count_outputs(small, n).count <= count_outputs(large, n).count

@@ -20,11 +20,10 @@ from colorcap import (
     capacity_single,
     capacity_sunflower,
     capacity_two_sets,
-    chebyshev_U,
-    chebyshev_W,
     entropy,
     path_profile,
 )
+from helpers import chebyshev_U, chebyshev_W
 
 # growth rate of ({1,3},{2,3}) over q=3 (and of any one-core pair of
 # disjoint petals, modulo the log base)

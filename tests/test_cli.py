@@ -216,6 +216,22 @@ def test_reconstruct_bad_views_schema_exit_2(tmp_path):
         stdin=_doc(3, [[1, 2, 3]]),
     )
     assert proc.returncode == 2
+    # unknown fields are refused and named, at the top and in a view entry
+    good = {"pair": [1, 2], "word": [1, 2]}
+    for views, field in [
+        ({"views": [good], "extra": 1}, "extra"),
+        ({"views": [{**good, "wrod": [2, 1]}]}, "wrod"),
+        ({"views": [{"pair": [1, 2], "wrod": [1, 2]}]}, "wrod"),
+    ]:
+        views_file.write_text(json.dumps(views))
+        proc = _run(
+            "reconstruct", "--channel", "1", "--views", str(views_file),
+            stdin=_doc(2, [[1, 2]]),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert repr(field) in proc.stderr
 
 
 def test_output_file(tmp_path):

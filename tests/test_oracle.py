@@ -11,18 +11,19 @@ from colorcap import (
     ChannelSystem,
     ReconstructionError,
     apply_channel,
-    composition_count_path,
-    composition_count_sunflower,
     count_outputs,
     edge_system,
     empirical_rate_sweep,
-    pairs_graph,
     reconstruct_view,
     remove_dominated,
     separable_split,
     verify_pairs_equality,
 )
-from helpers import restrict_alphabet
+from helpers import (
+    composition_count_path,
+    composition_count_sunflower,
+    restrict_alphabet,
+)
 
 
 def _compositions(total, parts):
@@ -153,7 +154,7 @@ def test_edge_system_counts_differ_before_reduction_boundary():
     # sanity: the equality is a fact about views, not a tautology; the
     # two systems have different channel counts yet identical output counts
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
-    edges = edge_system(pairs_graph(system))
+    edges = edge_system(system)
     assert edges.t == 5
     assert count_outputs(system, 6).count == count_outputs(edges, 6).count
 

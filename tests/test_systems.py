@@ -14,7 +14,6 @@ from colorcap import (
     Cycle,
     FullClique,
     General,
-    PairsGraph,
     Path,
     Reducible,
     Separable,
@@ -25,11 +24,10 @@ from colorcap import (
     classify,
     edge_system,
     max_clique,
-    pairs_graph,
     remove_dominated,
     separable_split,
 )
-from helpers import restrict_alphabet
+from helpers import brute_max_clique, pairs, restrict_alphabet
 
 
 def test_remove_dominated():
@@ -85,7 +83,7 @@ def test_remove_dominated_preserves_pairs_graph():
     rng = random.Random(404)
     for _ in range(200):
         system = _random_system(rng)
-        assert pairs_graph(remove_dominated(system)) == pairs_graph(system)
+        assert pairs(remove_dominated(system)) == pairs(system)
 
 
 def test_separable_split_partitions_channels():
@@ -115,39 +113,43 @@ def test_restrict_alphabet_rejects_single_letter():
 
 def test_pairs_graph_edges():
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
-    graph = pairs_graph(system)
-    assert graph.edges == frozenset(
-        {(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}
+    assert edge_system(system).channels == tuple(
+        map(frozenset, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     )
-    assert not graph.is_complete
+    assert len(max_clique(system)) < system.q
 
 
 def test_pairs_graph_complete():
-    assert pairs_graph(ChannelSystem(3, [[1, 2, 3]])).is_complete
+    system = ChannelSystem(3, [[1, 2, 3]])
+    assert edge_system(system).channels == tuple(
+        map(frozenset, [(1, 2), (1, 3), (2, 3)])
+    )
+    assert max_clique(system) == frozenset({1, 2, 3})
 
 
 def test_edge_system_channels_are_edges():
-    graph = PairsGraph(3, frozenset({(1, 2), (2, 3)}))
-    system = edge_system(graph)
+    system = edge_system(ChannelSystem(3, [[2, 3], [1, 2], [1, 2]]))
     assert system.channels == (frozenset({1, 2}), frozenset({2, 3}))
+    with pytest.raises(ValueError):
+        edge_system(ChannelSystem(3, [[1], [2]]))
 
 
 def test_clique_number():
-    graph = pairs_graph(ChannelSystem(4, [[1, 2, 3], [2, 3, 4]]))
-    assert max_clique(graph) == frozenset({1, 2, 3})
-    path = pairs_graph(ChannelSystem(4, [[1, 2], [2, 3], [3, 4]]))
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    assert max_clique(system) == frozenset({1, 2, 3})
+    path = ChannelSystem(4, [[1, 2], [2, 3], [3, 4]])
     assert len(max_clique(path)) == 2
 
 
 def test_clique_number_edgeless():
-    assert len(max_clique(PairsGraph(3, frozenset()))) == 1
+    assert max_clique(ChannelSystem(3, [[2], [3]])) == frozenset({1})
 
 
 def test_max_clique_memory_follows_edges_not_alphabet():
-    graph = PairsGraph(10**5, frozenset({(1, 2), (2, 3), (1, 3), (1, 4)}))
+    system = ChannelSystem(10**5, [[1, 2], [2, 3], [1, 3], [1, 4]])
     tracemalloc.start()
     try:
-        clique = max_clique(graph)
+        clique = max_clique(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -158,11 +160,11 @@ def test_max_clique_memory_follows_edges_not_alphabet():
 def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
     # K_24 minus a perfect matching has 2^12 maximal cliques, all of size 12
     matching = {(a, a + 1) for a in range(1, 24, 2)}
-    edges = frozenset(itertools.combinations(range(1, 25), 2)) - matching
-    graph = PairsGraph(24, edges)
+    edges = set(itertools.combinations(range(1, 25), 2)) - matching
+    system = ChannelSystem(24, sorted(edges))
     tracemalloc.start()
     try:
-        clique = max_clique(graph)
+        clique = max_clique(system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,14 +175,17 @@ def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
 def test_max_clique_does_not_recurse_per_clique_letter():
     # one 300-letter channel closed into a triangle by letter 301
     system = ChannelSystem(301, [range(1, 301), [300, 301], [301, 1]])
-    graph = pairs_graph(system)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
+    tracemalloc.start()
     try:
-        clique = max_clique(graph)
+        clique = max_clique(system)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
+        tracemalloc.stop()
         sys.setrecursionlimit(limit)
     assert clique == frozenset(range(1, 301))
+    assert peak < 10**6
 
 
 # classification
@@ -297,20 +302,18 @@ SHAPES = {
 }
 
 
-class _PairsGraphBuilt(Exception):
+class _PairsGraphRead(Exception):
     pass
 
 
-def _refuse_pairs_graph(system):
-    raise _PairsGraphBuilt
+def _refuse_letter_classes(system):
+    raise _PairsGraphRead
 
 
 @pytest.mark.parametrize("method", SHAPES)
 def test_shapes_are_read_off_the_channel_sets(monkeypatch, method):
-    monkeypatch.setattr(colorcap.systems, "pairs_graph", _refuse_pairs_graph)
-    # colorcap.bounds names the function, so reach the module through sys.modules
-    bounds_module = sys.modules["colorcap.bounds"]
-    monkeypatch.setattr(bounds_module, "pairs_graph", _refuse_pairs_graph)
+    # the letter classes are the only way into the pairs graph
+    monkeypatch.setattr(colorcap.systems, "_letter_classes", _refuse_letter_classes)
     system, expected = SHAPES[method]
     assert classify(system) == expected
     assert capacity(system).method == method
@@ -321,9 +324,9 @@ def test_shapes_are_read_off_the_channel_sets(monkeypatch, method):
     [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]],
 ])
 def test_full_clique_and_general_build_the_pairs_graph(monkeypatch, channels):
-    monkeypatch.setattr(colorcap.systems, "pairs_graph", _refuse_pairs_graph)
+    monkeypatch.setattr(colorcap.systems, "_letter_classes", _refuse_letter_classes)
     system = ChannelSystem(len({a for ch in channels for a in ch}), channels)
-    with pytest.raises(_PairsGraphBuilt):
+    with pytest.raises(_PairsGraphRead):
         classify(system)
 
 
@@ -364,12 +367,18 @@ def _leaves(system):
 
 @given(small_systems())
 def test_no_shape_has_a_complete_pairs_graph(system):
-    # classify tests the shapes before it builds the pairs graph, which is
+    # classify tests the shapes before it reads the pairs graph, which is
     # sound only because of this: two sets, a sunflower's petals, a path's
     # ends and a cycle's s0, s2 each give two letters that share no channel
     for leaf, cls in _leaves(system):
-        complete = pairs_graph(leaf).is_complete
+        complete = len(pairs(leaf)) == leaf.q * (leaf.q - 1) // 2
         if isinstance(cls, (TwoSets, Sunflower, Path, Cycle)):
             assert not complete
         if isinstance(cls, FullClique):
             assert complete
+
+
+@given(small_systems())
+def test_max_clique_matches_brute_force(system):
+    # the same clique, tie-break included, as trying every subset of [q]
+    assert max_clique(system) == brute_max_clique(system)
