@@ -333,11 +333,13 @@ def test_full_clique_and_general_build_the_pairs_graph(monkeypatch, channels):
 @st.composite
 def small_systems(draw):
     """Systems with q <= 7 and t <= 6: arbitrary ones, and relabeled
-    sunflowers, paths and cycles, which arbitrary draws seldom hit."""
+    sunflowers, paths and cycles, which arbitrary draws seldom hit. A
+    "clique" draw adds each letter pair that no channel holds as a channel
+    of its own (t up to 27), so its pairs graph is complete."""
     q = draw(st.integers(2, 7))
     letters = draw(st.permutations(range(1, q + 1)))
     shape = draw(st.sampled_from(
-        ["any"] + ["sunflower", "path"] * (q >= 3) + ["cycle"] * (q >= 4)))
+        ["any", "clique"] + ["sunflower", "path"] * (q >= 3) + ["cycle"] * (q >= 4)))
     if shape == "sunflower":
         k = draw(st.integers(1, q - 2))
         p = draw(st.integers(1, (q - k) // 2))
@@ -352,6 +354,9 @@ def small_systems(draw):
     else:
         channel = st.frozensets(st.integers(1, q), min_size=1, max_size=4)
         channels = draw(st.lists(channel, min_size=1, max_size=6))
+        if shape == "clique":
+            channels += [{a, b} for a, b in itertools.combinations(range(1, q + 1), 2)
+                         if not any({a, b} <= ch for ch in channels)]
     return ChannelSystem(q, draw(st.permutations(channels)))
 
 
@@ -369,13 +374,17 @@ def _leaves(system):
 def test_no_shape_has_a_complete_pairs_graph(system):
     # classify tests the shapes before it reads the pairs graph, which is
     # sound only because of this: two sets, a sunflower's petals, a path's
-    # ends and a cycle's s0, s2 each give two letters that share no channel
+    # ends and a cycle's s0, s2 each give two letters that share no channel.
+    # Both directions of classify's full-clique test (classes cover [q] and
+    # pairwise share a channel) are checked against the brute-force pairs.
     for leaf, cls in _leaves(system):
         complete = len(pairs(leaf)) == leaf.q * (leaf.q - 1) // 2
         if isinstance(cls, (TwoSets, Sunflower, Path, Cycle)):
             assert not complete
         if isinstance(cls, FullClique):
             assert complete
+        if complete:
+            assert isinstance(cls, (FullClique, SingleChannel))
 
 
 @given(small_systems())
