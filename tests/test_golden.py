@@ -25,7 +25,8 @@ with open(os.path.join(GOLDEN, "systems.json"), encoding="utf-8") as _handle:
     SYSTEMS = json.load(_handle)
 DOCS = {entry["name"]: entry["doc"] for entry in SYSTEMS}
 
-# (system name, flags) for each enumerate run; the last sweep is cut by its budget
+# (system name, flags) for each enumerate run; both sunflower-star sweeps are
+# cut by their budgets, the last one before n = 1
 ENUMERATE = [
     ("path-3", ["--n", "4", "--sweep", "--verify-pairs"]),
     ("cycle-4", ["--n", "5"]),
@@ -33,6 +34,8 @@ ENUMERATE = [
     ("single-full", ["--n", "0"]),
     ("reducible-separable", ["--n", "2"]),
     ("sunflower-star", ["--n", "8", "--sweep", "--budget", "500"]),
+    ("cycle-4", ["--n", "4", "--verify-pairs"]),
+    ("sunflower-star", ["--n", "3", "--sweep", "--budget", "0"]),
 ]
 
 
