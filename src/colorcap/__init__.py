@@ -16,7 +16,7 @@ from .capacity import (
 from .channels import ChannelSystem, apply_channel, apply_system
 from .oracle import (
     BudgetExceededError, EnumerationReport, ReconstructionError, count_outputs,
-    empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
+    reconstruct_view, verify_pairs_equality,
 )
 from .systems import (
     Cycle, FullClique, General, Path, Reducible, Separable, SingleChannel,
@@ -55,7 +55,6 @@ __all__ = [
     "classify",
     "count_outputs",
     "edge_system",
-    "empirical_rate_sweep",
     "entropy",
     "max_clique",
     "path_profile",

@@ -182,8 +182,6 @@ def capacity_path(t: int, q: int) -> CapacityResult:
     which also equals log_q(m*).  A 2-path is a (1,1,2)-sunflower and the
     same expression applies.
     """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
     if t + 1 > q:
         raise ValueError(f"a path of {t} channels needs {t + 1} letters, "
                          f"alphabet has {q}")
@@ -197,17 +195,6 @@ def capacity_path(t: int, q: int) -> CapacityResult:
                                    "alpha_star": alpha})
 
 
-def _removed_channels(original: ChannelSystem, reduced: ChannelSystem) -> list:
-    remaining = list(reduced.channels)
-    removed = []
-    for ch in original.channels:
-        if ch in remaining:
-            remaining.remove(ch)
-        else:
-            removed.append(ch)
-    return removed
-
-
 def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
     """Follow classify(): reduce, split, recurse, and combine by the max rule.
 
@@ -219,10 +206,14 @@ def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
     cls = classify(system)
     if isinstance(cls, Reducible):
         result = _dispatch(cls.reduced, leaf_fn)
-        witness = dict(result.witness)
-        witness["removed_channels"] = [
-            sorted(c) for c in _removed_channels(system, cls.reduced)]
-        return dataclasses.replace(result, witness=witness)
+        kept, removed = set(cls.reduced.channels), []
+        for ch in system.channels:
+            if ch in kept:
+                kept.remove(ch)  # the first copy of a survivor stays
+            else:
+                removed.append(sorted(ch))
+        return dataclasses.replace(
+            result, witness={**result.witness, "removed_channels": removed})
     if isinstance(cls, Separable):
         parts = [_dispatch(c, leaf_fn) for c in cls.components]
         lowers = [p.interval()[0] for p in parts]

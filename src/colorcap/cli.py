@@ -21,7 +21,7 @@ from .capacity import CapacityResult, capacity
 from .channels import ChannelSystem
 from .oracle import (
     DEFAULT_BUDGET, BudgetExceededError, ReconstructionError, count_outputs,
-    empirical_rate_sweep, reconstruct_view, verify_pairs_equality,
+    reconstruct_view, verify_pairs_equality,
 )
 from .systems import SystemClass, TwoSets, classify
 
@@ -215,12 +215,15 @@ def cmd_enumerate(args) -> dict:
     _at_least("--n", args.n, 1 if args.sweep else 0)
     budget = _resolve_budget(args)
     doc = {"input": echo, "class": class_dict(classify(system))}
-    if args.sweep:
-        reports = empirical_rate_sweep(system, args.n, budget=budget)
-        if len(reports) < args.n:
-            doc["truncated"] = True
-    else:
-        reports = [count_outputs(system, args.n, budget=budget)]
+    reports = []
+    for n in range(1, args.n + 1) if args.sweep else [args.n]:
+        try:
+            reports.append(count_outputs(system, n, budget=budget))
+        except BudgetExceededError:
+            if not args.sweep:
+                raise
+            doc["truncated"] = True  # a refusal ends the sweep
+            break
     doc["enumeration"] = [
         {"n": r.n, "count": str(r.count), "rate": r.rate, "elapsed": r.elapsed}
         for r in reports

@@ -75,7 +75,7 @@ def count_outputs(system: ChannelSystem, n: int, *,
     count = len(_key_set(system, n))
     elapsed = time.perf_counter() - start
     # log of the exact power, so a full channel reports a rate of exactly 1.0
-    rate = 0.0 if n == 0 else math.log(count) / math.log(system.q ** n)
+    rate = 0.0 if n == 0 else math.log(count) / math.log(states)
     return EnumerationReport(n=n, count=count, rate=rate, elapsed=elapsed)
 
 
@@ -158,17 +158,3 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     b = count_outputs(edges, n, budget=budget).count
     return a == b
 
-
-def empirical_rate_sweep(system: ChannelSystem, n_max: int, *,
-                         budget: int | None = None) -> tuple[EnumerationReport, ...]:
-    """Reports for n = 1..n_max, stopping early if the budget cuts in; the
-    sweep was cut short exactly when fewer than n_max reports come back."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    reports = []
-    for n in range(1, n_max + 1):
-        try:
-            reports.append(count_outputs(system, n, budget=budget))
-        except BudgetExceededError:
-            break
-    return tuple(reports)

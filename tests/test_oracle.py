@@ -1,6 +1,10 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +17,12 @@ from colorcap import (
     apply_channel,
     count_outputs,
     edge_system,
-    empirical_rate_sweep,
     reconstruct_view,
     remove_dominated,
     separable_split,
     verify_pairs_equality,
 )
+from colorcap.cli import main
 from helpers import (
     composition_count_path,
     composition_count_sunflower,
@@ -220,25 +224,37 @@ def test_composition_sum_three_petals():
 # sweep
 
 
+def _sweep(system, n, *flags):
+    """The JSON document of `colorcap enumerate --sweep` on the system."""
+    stdin, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(json.dumps(
+        {"q": system.q, "channels": [sorted(c) for c in system.channels]}))
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["enumerate", "--n", str(n), "--sweep", *flags]) == 0
+    finally:
+        sys.stdin = stdin
+    return json.loads(out.getvalue())
+
+
 def test_sweep_full_channel_rate_one():
-    reports = empirical_rate_sweep(ChannelSystem(3, [[1, 2, 3]]), 6)
-    assert [r.rate for r in reports] == [1.0] * 6
+    doc = _sweep(ChannelSystem(3, [[1, 2, 3]]), 6)
+    assert [r["rate"] for r in doc["enumeration"]] == [1.0] * 6
 
 
 def test_sweep_truncates_at_budget():
-    reports = empirical_rate_sweep(
-        ChannelSystem(3, [[1], [2]]), 12, budget=3**5
-    )
-    assert [r.n for r in reports] == [1, 2, 3, 4, 5]
-    assert [r.count for r in reports] == [3, 6, 10, 15, 21]
+    doc = _sweep(ChannelSystem(3, [[1], [2]]), 12, "--budget", str(3**5))
+    assert [r["n"] for r in doc["enumeration"]] == [1, 2, 3, 4, 5]
+    assert [int(r["count"]) for r in doc["enumeration"]] == [3, 6, 10, 15, 21]
+    assert doc["truncated"] is True
 
 
 def test_sweep_rates_bounded_by_exact_value():
     # finite-n rates of the 3-path stay below capacity + slack; purely
     # observational, no convergence claimed
     system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4]])
-    reports = empirical_rate_sweep(system, 8)
-    assert all(r.rate <= 1.0 for r in reports)
+    doc = _sweep(system, 8)
+    assert all(r["rate"] <= 1.0 for r in doc["enumeration"])
 
 
 # separable convolution
