@@ -19,15 +19,29 @@ from typing import Union
 from .channels import ChannelSystem
 
 
+def _holders(system: ChannelSystem) -> dict[int, list[int]]:
+    """Each visible letter's channel indices, in increasing order."""
+    where: dict[int, list[int]] = {}
+    for i, ch in enumerate(system.channels):
+        for a in ch:
+            where.setdefault(a, []).append(i)
+    return where
+
+
 def remove_dominated(system: ChannelSystem) -> ChannelSystem:
     """Drop every channel contained in another (keeping one copy of duplicates).
 
-    Survivors keep their original order.  Idempotent.
+    Survivors keep their original order; the system itself comes back when
+    nothing is dropped.  Idempotent.
     """
-    chans = system.channels
-    return ChannelSystem(system.q, [
-        ch for i, ch in enumerate(chans)
-        if not any(ch < other for other in chans) and ch not in chans[:i]])
+    chans, holders = system.channels, _holders(system)
+    kept = []
+    for i, ch in enumerate(chans):
+        # any channel holding ch also holds ch's least-held letter
+        rarest = min(ch, key=lambda a: len(holders[a]))
+        if not any(ch < chans[j] or (ch == chans[j] and j < i) for j in holders[rarest]):
+            kept.append(ch)
+    return system if len(kept) == len(chans) else ChannelSystem(system.q, kept)
 
 
 def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
@@ -64,12 +78,8 @@ def _letter_classes(system: ChannelSystem) -> dict[frozenset[int], list[int]]:
     one closed neighbourhood.  Two classes are adjacent exactly when they share
     a channel, so every maximal clique holds a class wholly or not at all.
     """
-    where: dict[int, list[int]] = {}
-    for i, ch in enumerate(system.channels):
-        for a in ch:
-            where.setdefault(a, []).append(i)
     classes: dict[frozenset[int], list[int]] = {}
-    for a, idx in where.items():
+    for a, idx in _holders(system).items():
         classes.setdefault(frozenset(idx), []).append(a)
     return classes
 

@@ -20,6 +20,15 @@ def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
     return ChannelSystem(len(used), [{relabel[a] for a in ch} for ch in system.channels])
 
 
+def reference_remove_dominated(system: ChannelSystem) -> ChannelSystem:
+    """The quadratic rule remove_dominated keeps: drop a channel strictly
+    inside another or equal to an earlier one; survivors stay in order."""
+    chans = system.channels
+    return ChannelSystem(system.q, [
+        ch for i, ch in enumerate(chans)
+        if not any(ch < other for other in chans) and ch not in chans[:i]])
+
+
 def pairs(system: ChannelSystem) -> set[tuple[int, int]]:
     """The pairs graph's edges: every letter pair (u < v) sharing a channel."""
     return {pair for ch in system.channels

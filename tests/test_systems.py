@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -27,7 +28,9 @@ from colorcap import (
     remove_dominated,
     separable_split,
 )
-from helpers import brute_max_clique, pairs, restrict_alphabet
+from helpers import (
+    brute_max_clique, pairs, reference_remove_dominated, restrict_alphabet,
+)
 
 
 def test_remove_dominated():
@@ -80,10 +83,29 @@ def _random_system(rng):
 
 
 def test_remove_dominated_preserves_pairs_graph():
+    # random systems grown by copies and subsets of their own channels, then
+    # shuffled, reduce exactly as the quadratic reference rule reduces them
     rng = random.Random(404)
-    for _ in range(200):
-        system = _random_system(rng)
-        assert pairs(remove_dominated(system)) == pairs(system)
+    for _ in range(500):
+        base = _random_system(rng)
+        chans = [sorted(ch) for ch in base.channels]
+        for ch in rng.sample(chans, rng.randint(0, len(chans))):
+            chans.append(rng.sample(ch, rng.randint(1, len(ch))) if rng.random() < 0.5 else ch)
+        rng.shuffle(chans)
+        system = ChannelSystem(base.q, chans)
+        reduced = remove_dominated(system)
+        assert reduced.channels == reference_remove_dominated(system).channels
+        assert pairs(reduced) == pairs(system)
+
+
+def test_remove_dominated_is_not_quadratic():
+    # a channel is only looked up against the holders of its least-held letter
+    system = ChannelSystem(5000, [[i, i + 1] for i in range(1, 5000)] + [[1, 3]])
+    start = time.perf_counter()
+    reduced = remove_dominated(system)
+    elapsed = time.perf_counter() - start
+    assert reduced.channels == system.channels
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
 def test_separable_split_partitions_channels():
