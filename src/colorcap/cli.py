@@ -75,6 +75,15 @@ def parse_system_document(obj) -> tuple[ChannelSystem, dict]:
     return ChannelSystem(q, channels), echo
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def read_json(path: str):
     try:
         if path == "-":
@@ -85,7 +94,9 @@ def read_json(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=_unique_keys)
+    except SchemaError as exc:
+        raise SchemaError(f"{exc} in {path}") from None
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 

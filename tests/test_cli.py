@@ -354,6 +354,21 @@ def test_reconstruct_repeated_pair_exit_2(tmp_path):
     assert stderr.startswith("error: views[1]")
 
 
+def test_repeated_key_exit_2(tmp_path):
+    # json.loads alone would keep the last value: classify at q=9, word [2, 1]
+    src, views = tmp_path / "system.json", tmp_path / "views.json"
+    src.write_text('{"q": 4, "channels": [[1, 2], [2, 3]], "q": 9}')
+    code, stdout, stderr = _main(["classify", "--input", str(src)])
+    _assert_rejected(code, stdout, stderr, 2)
+    assert stderr == f"error: repeated key 'q' in {src}\n"
+    src.write_text(_doc(2, [[1, 2]]))
+    views.write_text('{"views": [{"pair": [1, 2], "word": [1, 2], "word": [2, 1]}]}')
+    code, stdout, stderr = _main(["reconstruct", "--input", str(src), "--channel", "1",
+                                  "--views", str(views)])
+    _assert_rejected(code, stdout, stderr, 2)
+    assert stderr == f"error: repeated key 'word' in {views}\n"
+
+
 def test_unwritable_output_exit_2(tmp_path):
     out = tmp_path / "missing" / "result.json"
     _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
