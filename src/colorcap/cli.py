@@ -233,7 +233,7 @@ def cmd_enumerate(args) -> dict:
         except BudgetExceededError:
             if not args.sweep:
                 raise
-            doc["truncated"] = True  # a refusal ends the sweep
+            doc["truncated"] = True
             break
     doc["enumeration"] = [
         {"n": r.n, "count": str(r.count), "rate": r.rate, "elapsed": r.elapsed}
