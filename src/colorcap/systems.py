@@ -5,14 +5,13 @@ function of the larger one), so systems reduce to antichains.  Channels that
 share no letters across two groups act independently, so systems split into
 separable components.  For an irreducible system the pairs graph, whose
 edges are the 2-subsets co-occurring inside some channel, carries everything
-that matters for counting distinguishable outputs.  It is read off the
-channels through letter classes; only edge_system lists its edges.
+that matters for counting distinguishable outputs.  Every test here reads one
+map, letter -> channels holding it; only edge_system lists pairs-graph edges.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -51,27 +50,28 @@ def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
     relative channel order; each carries the original alphabet size.
     Returns [system] when no split exists.
     """
-    chans = system.channels
-    groups: list[tuple[frozenset[int], list[int]]] = []  # (letters, channel indices)
-    for i, ch in enumerate(chans):
-        letters, idx, apart = ch, [i], []
-        for group_letters, group_idx in groups:
-            if group_letters & ch:
-                letters, idx = letters | group_letters, idx + group_idx
-            else:
-                apart.append((group_letters, group_idx))
-        groups = apart + [(letters, idx)]
-    ordered = sorted(sorted(idx) for _, idx in groups)
-    if len(ordered) == 1:
+    chans, holders = system.channels, _holders(system)
+    seen, groups = set(), []
+    for first in range(len(chans)):
+        if first not in seen:
+            seen.add(first)
+            groups.append([first])
+            for i in groups[-1]:  # the group grows as the walk reaches channels
+                for a in chans[i]:  # each letter's holders are read once
+                    for j in holders.pop(a, ()):
+                        if j not in seen:
+                            seen.add(j)
+                            groups[-1].append(j)
+    if len(groups) == 1:
         return [system]
-    return [ChannelSystem(system.q, [chans[i] for i in idx]) for idx in ordered]
+    return [ChannelSystem(system.q, [chans[i] for i in sorted(idx)]) for idx in groups]
 
 
 # ---------------------------------------------------------------------------
 # pairs graph, read off the channels
 
 
-def _letter_classes(system: ChannelSystem) -> dict[frozenset[int], list[int]]:
+def _letter_classes(holders: dict[int, list[int]]) -> dict[frozenset[int], list[int]]:
     """Visible letters keyed by the set of channel indices they lie in.
 
     Letters of one class are twins in the pairs graph: pairwise adjacent, with
@@ -79,7 +79,7 @@ def _letter_classes(system: ChannelSystem) -> dict[frozenset[int], list[int]]:
     a channel, so every maximal clique holds a class wholly or not at all.
     """
     classes: dict[frozenset[int], list[int]] = {}
-    for a, idx in _holders(system).items():
+    for a, idx in holders.items():
         classes.setdefault(frozenset(idx), []).append(a)
     return classes
 
@@ -97,7 +97,7 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     the largest): Bron-Kerbosch with pivoting over the letter classes, run on
     an explicit stack and keeping only the best maximal clique found so far.
     """
-    classes = _letter_classes(system)
+    classes = _letter_classes(_holders(system))
     members = [tuple(letters) for letters in classes.values()]
     holds: list[set[int]] = [set() for _ in system.channels]
     for c, idx in enumerate(classes):
@@ -198,10 +198,10 @@ SystemClass = Union[
 def classify(system: ChannelSystem) -> SystemClass:
     """Structural class of a system, by precedence.
 
-    Reducible and Separable fire first; then SingleChannel; then the shapes
-    TwoSets (t = 2), Sunflower, Path and Cycle, read off the channel sets;
-    then FullClique, read off the letter classes (no shape has a complete
-    pairs graph); then General.  Channel order never affects the result.
+    Reducible and Separable fire first, then SingleChannel and TwoSets (t = 2).
+    Sunflower, Path and Cycle are read off how many channels hold each letter,
+    and FullClique off the letter classes of the same map (no shape has a
+    complete pairs graph); else General.  Channel order never matters.
     """
     reduced = remove_dominated(system)
     if reduced != system:
@@ -209,26 +209,25 @@ def classify(system: ChannelSystem) -> SystemClass:
     components = separable_split(system)
     if len(components) > 1:
         return Separable(tuple(components))
-    chans = system.channels
-    if len(chans) == 1:
+    chans, t = system.channels, system.t
+    if t == 1:
         return SingleChannel(len(chans[0]))
-    if len(chans) == 2:
+    if t == 2:
         a, b = chans
         # irreducible with t = 2 forces k, p1, p2 >= 1
         return TwoSets(len(a & b), len(a - b), len(b - a))
-    core = frozenset.intersection(*chans)
-    sizes = {len(c) for c in chans}
-    if core and len(sizes) == 1 and all(
-            u & v == core for u, v in itertools.combinations(chans, 2)):
-        return Sunflower(len(core), sizes.pop() - len(core), len(chans))
-    if all(len(c) == 2 for c in chans):
+    holders = _holders(system)
+    degs, sizes = sorted(map(len, holders.values())), {len(c) for c in chans}
+    # core letters lie in all t channels, petal letters in one each
+    if degs[-1] == t and len(sizes) == 1 and set(degs) <= {1, t}:
+        return Sunflower(degs.count(t), sizes.pop() - degs.count(t), t)
+    if sizes == {2}:
         # connected 2-sets: the degree profile tells a path from a cycle
-        degs = sorted(Counter(a for ch in chans for a in ch).values())
         if degs[-1] <= 2 and degs.count(1) == 2:
-            return Path(len(chans))
-        if degs[0] == 2 and degs[-1] == 2 and len(chans) >= 4:
-            return Cycle(len(chans))
-    classes = _letter_classes(system)
+            return Path(t)
+        if degs[0] == 2 and degs[-1] == 2 and t >= 4:
+            return Cycle(t)
+    classes = _letter_classes(holders)
     if sum(map(len, classes.values())) == system.q and all(
             u & v for u, v in itertools.combinations(classes, 2)):
         return FullClique()

@@ -1,10 +1,14 @@
 """Helpers shared by several test modules; pytest collects nothing here."""
 
 import itertools
+from collections import Counter
 from math import comb, prod
 from typing import Sequence
 
-from colorcap import ChannelSystem
+from colorcap import (
+    ChannelSystem, Cycle, FullClique, General, Path, Reducible, Separable,
+    SingleChannel, Sunflower, SystemClass, TwoSets,
+)
 
 
 def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
@@ -27,6 +31,57 @@ def reference_remove_dominated(system: ChannelSystem) -> ChannelSystem:
     return ChannelSystem(system.q, [
         ch for i, ch in enumerate(chans)
         if not any(ch < other for other in chans) and ch not in chans[:i]])
+
+
+def reference_separable_split(system: ChannelSystem) -> list[ChannelSystem]:
+    """separable_split's partition by merging groups: each channel absorbs
+    every group so far whose letters it meets; groups come out in
+    first-channel order, each with its channels in their original order."""
+    chans = system.channels
+    groups: list[tuple[frozenset[int], list[int]]] = []  # (letters, channel indices)
+    for i, ch in enumerate(chans):
+        letters, idx, apart = ch, [i], []
+        for group_letters, group_idx in groups:
+            if group_letters & ch:
+                letters, idx = letters | group_letters, idx + group_idx
+            else:
+                apart.append((group_letters, group_idx))
+        groups = apart + [(letters, idx)]
+    return [ChannelSystem(system.q, [chans[i] for i in idx])
+            for idx in sorted(sorted(idx) for _, idx in groups)]
+
+
+def reference_classify(system: ChannelSystem) -> SystemClass:
+    """The class classify gives, by its definitions: a sunflower's core is
+    the intersection of all channels and every two channels meet in exactly
+    that core; paths and cycles count letter degrees; a full clique has a
+    complete pairs graph on [q]."""
+    reduced = reference_remove_dominated(system)
+    if reduced != system:
+        return Reducible(reduced)
+    components = reference_separable_split(system)
+    if len(components) > 1:
+        return Separable(tuple(components))
+    chans = system.channels
+    if len(chans) == 1:
+        return SingleChannel(len(chans[0]))
+    if len(chans) == 2:
+        a, b = chans
+        return TwoSets(len(a & b), len(a - b), len(b - a))
+    core = frozenset.intersection(*chans)
+    sizes = {len(c) for c in chans}
+    if core and len(sizes) == 1 and all(
+            u & v == core for u, v in itertools.combinations(chans, 2)):
+        return Sunflower(len(core), sizes.pop() - len(core), len(chans))
+    if sizes == {2}:
+        degs = sorted(Counter(a for ch in chans for a in ch).values())
+        if degs[-1] <= 2 and degs.count(1) == 2:
+            return Path(len(chans))
+        if degs[0] == 2 and degs[-1] == 2 and len(chans) >= 4:
+            return Cycle(len(chans))
+    if len(pairs(system)) == system.q * (system.q - 1) // 2:
+        return FullClique()
+    return General()
 
 
 def pairs(system: ChannelSystem) -> set[tuple[int, int]]:

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colorcap.systems
@@ -29,7 +29,8 @@ from colorcap import (
     separable_split,
 )
 from helpers import (
-    brute_max_clique, pairs, reference_remove_dominated, restrict_alphabet,
+    brute_max_clique, pairs, reference_classify, reference_remove_dominated,
+    reference_separable_split, restrict_alphabet,
 )
 
 
@@ -106,6 +107,16 @@ def test_remove_dominated_is_not_quadratic():
     elapsed = time.perf_counter() - start
     assert reduced.channels == system.channels
     assert elapsed < 0.5, f"{elapsed:.2f} s"
+
+
+def test_separable_split_is_not_quadratic():
+    # 3,000 disjoint pairs: the walk reads each letter's channels once
+    system = ChannelSystem(6000, [[2 * i - 1, 2 * i] for i in range(1, 3001)])
+    start = time.perf_counter()
+    parts = separable_split(system)
+    elapsed = time.perf_counter() - start
+    assert [part.channels for part in parts] == [(ch,) for ch in system.channels]
+    assert elapsed < 0.25, f"{elapsed:.2f} s"
 
 
 def test_separable_split_partitions_channels():
@@ -309,6 +320,16 @@ def test_classify_order_stable():
         assert classify(ChannelSystem(4, perm)) == expected
 
 
+def test_classify_sunflower_is_not_quadratic():
+    # 3,000 petals around letter 1: one degree profile, no pairwise scan
+    system = ChannelSystem(3001, [[1, i] for i in range(2, 3002)])
+    start = time.perf_counter()
+    cls = classify(system)
+    elapsed = time.perf_counter() - start
+    assert cls == Sunflower(k=1, p=1, t=3000)
+    assert elapsed < 0.25, f"{elapsed:.2f} s"
+
+
 def test_sunflower_needs_common_core():
     # pairwise intersections exist but differ, so not a sunflower
     cls = classify(ChannelSystem(6, [[1, 2, 3], [3, 4, 5], [5, 6, 1]]))
@@ -357,16 +378,32 @@ def small_systems(draw):
     """Systems with q <= 7 and t <= 6: arbitrary ones, and relabeled
     sunflowers, paths and cycles, which arbitrary draws seldom hit. A
     "clique" draw adds each letter pair that no channel holds as a channel
-    of its own (t up to 27), so its pairs graph is complete."""
+    of its own (t up to 27), so its pairs graph is complete. Three
+    near-sunflowers (t >= 3) spoil the last channel of a sunflower: its
+    petal is a letter short, or trades that letter for one of the first
+    petal's, or the channel misses the first core letter."""
     q = draw(st.integers(2, 7))
     letters = draw(st.permutations(range(1, q + 1)))
+    near = ["petal-short", "petal-overlap", "core-gap"]
     shape = draw(st.sampled_from(
-        ["any", "clique"] + ["sunflower", "path"] * (q >= 3) + ["cycle"] * (q >= 4)))
-    if shape == "sunflower":
-        k = draw(st.integers(1, q - 2))
-        p = draw(st.integers(1, (q - k) // 2))
-        t = draw(st.integers(2, min(6, (q - k) // p)))
-        channels = [letters[:k] + letters[k + i * p:k + i * p + p] for i in range(t)]
+        ["any", "clique"] + ["sunflower", "path"] * (q >= 3)
+        + ["cycle", *near] * (q >= 4)))
+    if shape == "sunflower" or shape in near:
+        t_min = 3 if shape in near else 2
+        short = shape in ("petal-short", "petal-overlap")
+        room = q + short  # a last petal a letter short leaves one letter over
+        k = draw(st.integers(1, room - t_min))
+        p = draw(st.integers(1, (room - k) // t_min))
+        t = draw(st.integers(t_min, min(6, (room - k) // p)))
+        core = letters[:k]
+        petals = [letters[k + i * p:k + i * p + p] for i in range(t)]
+        if short:
+            petals[-1] = petals[-1][:p - 1]
+        if shape == "petal-overlap":
+            petals[-1] += petals[0][:1]
+        channels = [core + petal for petal in petals]
+        if shape == "core-gap":
+            channels[-1] = channels[-1][1:]
     elif shape == "path":
         t = draw(st.integers(2, min(6, q - 1)))
         channels = [letters[i:i + 2] for i in range(t)]
@@ -407,6 +444,18 @@ def test_no_shape_has_a_complete_pairs_graph(system):
             assert complete
         if complete:
             assert isinstance(cls, (FullClique, SingleChannel))
+
+
+@settings(max_examples=400)  # a petal overlap of equal size needs q >= 6
+@given(small_systems())
+def test_split_and_classify_match_the_reference(system):
+    # the group merge, the core intersection with its pairwise scan, and
+    # degrees counted channel by channel give the same split and classes
+    assert [part.channels for part in separable_split(system)] == [
+        part.channels for part in reference_separable_split(system)]
+    assert classify(system) == reference_classify(system)
+    for leaf, cls in _leaves(system):
+        assert cls == reference_classify(leaf)
 
 
 @given(small_systems())
