@@ -33,6 +33,11 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     if remove_dominated(system) != system or len(separable_split(system)) > 1:
         raise ValueError("general bounds expect an irreducible system; "
                          "reduce and split it first")
+    return _clique_sandwich(system)
+
+
+def _clique_sandwich(system: ChannelSystem) -> CapacityResult:
+    """bounds_general without its checks, for a leaf _dispatch has reduced and split."""
     clique = max_clique(system)
     omega = len(clique)
     lower = _logq(omega, system.q)
@@ -75,7 +80,7 @@ def _bound_leaf(core: ChannelSystem, cls: SystemClass) -> CapacityResult:
                               witness={"q": core.q})
     if isinstance(cls, Cycle):
         return bounds_cycle(cls.t, core.q)
-    return bounds_general(core)
+    return _clique_sandwich(core)
 
 
 def bounds(system: ChannelSystem) -> CapacityResult:

@@ -11,11 +11,9 @@ All logarithms in base q are computed as ln(x)/ln(q) in double precision.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 
-from .channels import ChannelSystem
+from .channels import ChannelSystem, Record
 from .systems import (
     Path, Reducible, Separable, Sunflower, SystemClass, TwoSets, classify,
 )
@@ -34,29 +32,28 @@ def _logq(x: float, q: int) -> float:
     return math.log(x) / math.log(q)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    """Either an exact capacity or a [lower, upper] sandwich, with witness."""
+class CapacityResult(Record):
+    """Either an exact capacity or a [lower, upper] sandwich, with witness.
 
-    kind: str  # "exact" | "bounds"
-    method: str
-    value: float | None = None
-    lower: float | None = None
-    upper: float | None = None
-    witness: dict = field(default_factory=dict)
+    kind is "exact" (value set) or "bounds" (lower and upper set).
+    """
 
-    def __post_init__(self):
+    def __init__(self, kind: str, method: str, value: float | None = None,
+                 lower: float | None = None, upper: float | None = None,
+                 witness: dict | None = None):
         eps = 1e-9
-        if self.kind == "exact":
-            if self.value is None or not -eps <= self.value <= 1 + eps:
-                raise ValueError(f"exact capacity outside [0, 1]: {self.value}")
-        elif self.kind == "bounds":
-            if self.lower is None or self.upper is None:
+        if kind == "exact":
+            if value is None or not -eps <= value <= 1 + eps:
+                raise ValueError(f"exact capacity outside [0, 1]: {value}")
+        elif kind == "bounds":
+            if lower is None or upper is None:
                 raise ValueError("bounds result needs both endpoints")
-            if not -eps <= self.lower <= self.upper + eps or self.upper > 1 + eps:
-                raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
+            if not -eps <= lower <= upper + eps or upper > 1 + eps:
+                raise ValueError(f"bad interval [{lower}, {upper}]")
         else:
-            raise ValueError(f"kind must be 'exact' or 'bounds', got {self.kind!r}")
+            raise ValueError(f"kind must be 'exact' or 'bounds', got {kind!r}")
+        self.__dict__.update(kind=kind, method=method, value=value, lower=lower,
+                             upper=upper, witness={} if witness is None else witness)
 
     def interval(self) -> tuple[float, float]:
         if self.kind == "exact":
@@ -212,8 +209,8 @@ def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
                 kept.remove(ch)  # the first copy of a survivor stays
             else:
                 removed.append(sorted(ch))
-        return dataclasses.replace(
-            result, witness={**result.witness, "removed_channels": removed})
+        return CapacityResult(result.kind, result.method, result.value, result.lower,
+                              result.upper, {**result.witness, "removed_channels": removed})
     if isinstance(cls, Separable):
         parts = [_dispatch(c, leaf_fn) for c in cls.components]
         lowers = [p.interval()[0] for p in parts]

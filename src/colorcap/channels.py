@@ -11,14 +11,39 @@ tell them apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChannelSystem:
+class Record:
+    """Immutable value object whose fields are its instance dict.
+
+    Each subclass's __init__ writes its fields straight into that dict, in
+    order; equality (same type, same fields), hashing and the repr read it
+    back.  Unlike a frozen dataclass, this costs the import nothing.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ChannelSystem(Record):
     """A sequence of coloring channels over the alphabet [q].
 
     Channels are stored as frozensets; the constructor accepts any iterable
@@ -43,8 +68,7 @@ class ChannelSystem:
             if bad:
                 raise ValueError(
                     f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "channels", normalized)
+        self.__dict__.update(q=q, channels=normalized)
 
     @property
     def t(self) -> int:
@@ -56,7 +80,7 @@ class ChannelSystem:
         return frozenset().union(*self.channels)
 
 
-def apply_channel(word: Sequence[int], channel: AbstractSet[int]) -> Word:
+def apply_channel(word: Sequence[int], channel: Set[int]) -> Word:
     """Project a word onto a channel: keep symbols in the channel, in order."""
     return tuple(a for a in word if a in channel)
 

@@ -9,7 +9,6 @@ budget refusal, 4 on inconsistent reconstruction views.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -127,15 +126,14 @@ def system_dict(system: ChannelSystem) -> dict:
 def class_dict(cls: SystemClass) -> dict:
     """{"type": snake_case class name, **fields}, systems as system_dict."""
     out = {"type": re.sub(r"(?<!^)(?=[A-Z])", "_", type(cls).__name__).lower()}
-    for f in dataclasses.fields(cls):
-        value = getattr(cls, f.name)
+    for name, value in vars(cls).items():
         if isinstance(value, ChannelSystem):
             value = system_dict(value)
         elif isinstance(value, tuple):
             value = [system_dict(c) for c in value]
-        out[f.name] = value
+        out[name] = value
     if isinstance(cls, TwoSets) and cls.sunflower_equivalent is not None:
-        out["sunflower_equivalent"] = dataclasses.asdict(cls.sunflower_equivalent)
+        out["sunflower_equivalent"] = dict(vars(cls.sunflower_equivalent))
     return out
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
-from .channels import ChannelSystem, apply_channel, apply_system
+from .channels import ChannelSystem, Record, apply_channel, apply_system
 from .systems import edge_system, remove_dominated, separable_split
 
 DEFAULT_BUDGET = 200_000_000
@@ -33,12 +32,9 @@ class BudgetExceededError(RuntimeError):
         return self.q ** self.n
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    n: int
-    count: int
-    rate: float
-    elapsed: float
+class EnumerationReport(Record):
+    def __init__(self, n: int, count: int, rate: float, elapsed: float):
+        self.__dict__.update(n=n, count=count, rate=rate, elapsed=elapsed)
 
 
 def _key_set(system: ChannelSystem, n: int) -> set:

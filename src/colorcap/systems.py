@@ -12,10 +12,8 @@ map, letter -> channels holding it; only edge_system lists pairs-graph edges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Union
 
-from .channels import ChannelSystem
+from .channels import ChannelSystem, Record
 
 
 def _holders(system: ChannelSystem) -> dict[int, list[int]]:
@@ -125,74 +123,69 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
 # classification
 
 
-@dataclass(frozen=True)
-class SingleChannel:
-    size: int
+class SystemClass(Record):
+    """Structural class of a system: the common base of the nine shapes below.
+
+    Each shape is an immutable record of its parameters, in constructor order.
+    """
 
 
-@dataclass(frozen=True)
-class FullClique:
+class SingleChannel(SystemClass):
+    def __init__(self, size: int):
+        self.__dict__["size"] = size
+
+
+class FullClique(SystemClass):
     pass
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class Sunflower(SystemClass):
     """t channels of size k+p sharing a common core of size k, petals disjoint."""
 
-    k: int
-    p: int
-    t: int
+    def __init__(self, k: int, p: int, t: int):
+        self.__dict__.update(k=k, p=p, t=t)
 
 
-@dataclass(frozen=True)
-class TwoSets:
+class TwoSets(SystemClass):
     """Two channels with |I1 & I2| = k, |I1 - I2| = p1, |I2 - I1| = p2.
 
     When p1 == p2 the pair is also a (k, p, 2)-sunflower.
     """
 
-    k: int
-    p1: int
-    p2: int
+    def __init__(self, k: int, p1: int, p2: int):
+        self.__dict__.update(k=k, p1=p1, p2=p2)
 
     @property
     def sunflower_equivalent(self) -> Sunflower | None:
         return Sunflower(self.k, self.p1, 2) if self.p1 == self.p2 else None
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(SystemClass):
     """t channels {s0,s1}, {s1,s2}, ..., {s_{t-1},s_t} on t+1 distinct letters."""
 
-    t: int
+    def __init__(self, t: int):
+        self.__dict__["t"] = t
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(SystemClass):
     """t >= 4 channels forming a closed chain of 2-sets on t distinct letters."""
 
-    t: int
+    def __init__(self, t: int):
+        self.__dict__["t"] = t
 
 
-@dataclass(frozen=True)
-class Separable:
-    components: tuple[ChannelSystem, ...]
+class Separable(SystemClass):
+    def __init__(self, components: tuple[ChannelSystem, ...]):
+        self.__dict__["components"] = components
 
 
-@dataclass(frozen=True)
-class Reducible:
-    reduced: ChannelSystem
+class Reducible(SystemClass):
+    def __init__(self, reduced: ChannelSystem):
+        self.__dict__["reduced"] = reduced
 
 
-@dataclass(frozen=True)
-class General:
+class General(SystemClass):
     pass
-
-
-SystemClass = Union[
-    SingleChannel, FullClique, Sunflower, TwoSets, Path, Cycle,
-    Separable, Reducible, General,
-]
 
 
 def classify(system: ChannelSystem) -> SystemClass:

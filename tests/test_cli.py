@@ -52,6 +52,17 @@ def test_import_starts_no_process_machinery():
     assert proc.stdout == "[]\n"
 
 
+def test_import_stays_lean():
+    # -S: no site module, which may preload typing on its own
+    parent = os.path.dirname(os.path.dirname(colorcap.cli.__file__))
+    probe = (f"import sys; sys.path.insert(0, {parent!r}); import colorcap.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_export_list_names_exist():
     for name in colorcap.__all__:
         assert hasattr(colorcap, name), name
