@@ -20,7 +20,7 @@ from .capacity import CapacityResult, capacity
 from .channels import ChannelSystem
 from .oracle import (
     DEFAULT_BUDGET, BudgetExceededError, ReconstructionError, count_outputs,
-    reconstruct_view, verify_pairs_equality,
+    count_sweep, reconstruct_view, verify_pairs_equality,
 )
 from .systems import SystemClass, TwoSets, classify
 
@@ -225,22 +225,24 @@ def cmd_enumerate(args) -> dict:
     budget = _resolve_budget(args)
     doc = {"input": echo, "class": class_dict(classify(system))}
     reports = []
-    for n in range(1, args.n + 1) if args.sweep else [args.n]:
+    if args.sweep:
         try:
-            reports.append(count_outputs(system, n, budget=budget))
+            for report in count_sweep(system, args.n, budget=budget):
+                reports.append(report)
         except BudgetExceededError:
-            if not args.sweep:
-                raise
             doc["truncated"] = True
-            break
+    else:
+        reports.append(count_outputs(system, args.n, budget=budget))
     doc["enumeration"] = [
         {"n": r.n, "count": str(r.count), "rate": r.rate, "elapsed": r.elapsed}
         for r in reports
     ]
     if args.verify_pairs:
+        # a sweep cut short has no count at N, and refuses again there
+        count = reports[-1].count if reports and reports[-1].n == args.n else None
         try:
             doc["pairs_equal"] = verify_pairs_equality(system, args.n,
-                                                       budget=budget)
+                                                       budget=budget, count=count)
         except ValueError as exc:
             raise SchemaError(f"--verify-pairs: {exc}") from exc
     return doc

@@ -1,6 +1,6 @@
-"""Brute-force ground truth for output counting and reconstruction.
+"""Exhaustive ground truth for output counting and reconstruction.
 
-Everything here is exact: words are enumerated exhaustively (guarded by a
+Everything here is exact: outputs are counted exhaustively (guarded by a
 state budget), counts are arbitrary-precision integers, and reconstruction
 returns a word only if it reproduces every view it was built from.
 """
@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
-from .channels import ChannelSystem, Record, apply_channel, apply_system
+from .channels import ChannelSystem, Record, apply_channel
 from .systems import edge_system, remove_dominated, separable_split
 
 DEFAULT_BUDGET = 200_000_000
@@ -37,20 +37,56 @@ class EnumerationReport(Record):
         self.__dict__.update(n=n, count=count, rate=rate, elapsed=elapsed)
 
 
-def _key_set(system: ChannelSystem, n: int) -> set:
-    """Canonical output keys of all q^n words.
+def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
+    """The sets of distinct output keys at lengths 0, 1, 2, ....
 
-    Keys concatenate the per-channel projections with a 0 separator, which
-    no letter can collide with.  Letters above 255 fall back to tuple keys.
+    A key joins the channel views with a 0 byte; each visible letter is a
+    fixed-width code of nonzero bytes.  A word followed by a letter a gives
+    its output with a appended to every view whose channel holds a.  Building
+    the next level clears the last one and frees its keys as it reads them,
+    so read each level before asking for the next.
     """
-    q = system.q
-    if q <= 255:
-        deletes = [bytes(a for a in range(1, q + 1) if a not in ch)
-                   for ch in system.channels]
-        return {b"\0".join(w.translate(None, d) for d in deletes)
-                for w in map(bytes, itertools.product(range(1, q + 1), repeat=n))}
-    return {apply_system(w, system)
-            for w in itertools.product(range(1, q + 1), repeat=n)}
+    visible = sorted(system.letters)
+    width = next(w for w in itertools.count(1) if 255 ** w >= len(visible))
+    steps = [(bytes(i // 255 ** d % 255 + 1 for d in range(width)),
+              [j for j, ch in enumerate(system.channels) if a in ch])
+             for i, a in enumerate(visible)]
+    if len(visible) < system.q:
+        steps.append((b"", []))  # a letter in no channel changes nothing
+    level = {b"\0" * (system.t - 1)}
+    while True:
+        yield level
+        extended = set()
+        keys = list(level)
+        level.clear()
+        while keys:
+            views = keys.pop().split(b"\0")
+            for code, holders in steps:
+                out = views.copy()
+                for j in holders:
+                    out[j] += code
+                extended.add(b"\0".join(out))
+        level = extended
+
+
+def _reports(system: ChannelSystem, lengths: Iterable[int],
+             budget: int | None) -> Iterator[EnumerationReport]:
+    """One report per length, lengths increasing, from one pass over the
+    levels; each checks its budget before any work, and its elapsed is the
+    time since the pass began."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    start = time.perf_counter()
+    levels = enumerate(_levels(system))
+    for n in lengths:
+        # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
+        states = system.q ** n if n < limit.bit_length() else None
+        if states is None or states > limit:
+            raise BudgetExceededError(system.q, n, limit)
+        count = next(len(level) for i, level in levels if i == n)
+        # log of the exact power, so a full channel reports a rate of exactly 1.0
+        rate = 0.0 if n == 0 else math.log(count) / math.log(states)
+        yield EnumerationReport(n=n, count=count, rate=rate,
+                                elapsed=time.perf_counter() - start)
 
 
 def count_outputs(system: ChannelSystem, n: int, *,
@@ -62,17 +98,17 @@ def count_outputs(system: ChannelSystem, n: int, *,
     """
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
-    states = system.q ** n if n < limit.bit_length() else None
-    if states is None or states > limit:
-        raise BudgetExceededError(system.q, n, limit)
-    start = time.perf_counter()
-    count = len(_key_set(system, n))
-    elapsed = time.perf_counter() - start
-    # log of the exact power, so a full channel reports a rate of exactly 1.0
-    rate = 0.0 if n == 0 else math.log(count) / math.log(states)
-    return EnumerationReport(n=n, count=count, rate=rate, elapsed=elapsed)
+    return next(_reports(system, [n], budget))
+
+
+def count_sweep(system: ChannelSystem, n: int, *,
+                budget: int | None = None) -> Iterator[EnumerationReport]:
+    """count_outputs at every length 1..n, from one pass over the levels.
+
+    Each report's elapsed is the time since the sweep began.  Raises
+    BudgetExceededError at the first length whose q^n exceeds the budget.
+    """
+    return _reports(system, range(1, n + 1), budget)
 
 
 class ReconstructionError(ValueError):
@@ -138,11 +174,14 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
-                          budget: int | None = None) -> bool:
+                          budget: int | None = None,
+                          count: int | None = None) -> bool:
     """Whether the system and its pairs-graph edge system have equal counts.
 
     For an irreducible system with t >= 2 channels the two counts agree for
-    every n; this checks one n exhaustively.
+    every n; this checks one n exhaustively.  A caller that already has the
+    system's count at n passes it as count, and only the edge system is
+    counted.
     """
     if system.t < 2:
         raise ValueError("pairs equality needs at least two channels")
@@ -150,7 +189,7 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
         raise ValueError("pairs equality expects an irreducible system; "
                          "reduce and split it first")
     edges = edge_system(system)
-    a = count_outputs(system, n, budget=budget).count
-    b = count_outputs(edges, n, budget=budget).count
-    return a == b
+    if count is None:
+        count = count_outputs(system, n, budget=budget).count
+    return count == count_outputs(edges, n, budget=budget).count
 

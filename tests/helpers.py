@@ -7,7 +7,7 @@ from typing import Sequence
 
 from colorcap import (
     ChannelSystem, Cycle, FullClique, General, Path, Reducible, Separable,
-    SingleChannel, Sunflower, SystemClass, TwoSets,
+    SingleChannel, Sunflower, SystemClass, TwoSets, apply_system,
 )
 
 
@@ -22,6 +22,24 @@ def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
         raise ValueError("restriction needs at least 2 used letters")
     relabel = {a: i + 1 for i, a in enumerate(used)}
     return ChannelSystem(len(used), [{relabel[a] for a in ch} for ch in system.channels])
+
+
+def reference_count(system: ChannelSystem, n: int) -> int:
+    """Distinct output tuples of the q^n words, by projecting every word.
+
+    The independent check of count_outputs, which extends distinct outputs
+    level by level instead.  Keys join the per-channel projections with a 0
+    byte, which no letter can collide with; letters above 255 fall back to
+    tuple keys.
+    """
+    q = system.q
+    if q <= 255:
+        deletes = [bytes(a for a in range(1, q + 1) if a not in ch)
+                   for ch in system.channels]
+        return len({b"\0".join(w.translate(None, d) for d in deletes)
+                    for w in map(bytes, itertools.product(range(1, q + 1), repeat=n))})
+    return len({apply_system(w, system)
+                for w in itertools.product(range(1, q + 1), repeat=n)})
 
 
 def reference_remove_dominated(system: ChannelSystem) -> ChannelSystem:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,13 @@ from colorcap import (
     separable_split,
     verify_pairs_equality,
 )
+from colorcap import cli, oracle
 from colorcap.cli import main
+from colorcap.oracle import count_sweep
 from helpers import (
     composition_count_path,
     composition_count_sunflower,
+    reference_count,
     restrict_alphabet,
 )
 
@@ -87,6 +91,113 @@ def test_tuple_keys_above_255_letters():
     narrow = ChannelSystem(4, [[1, 2], [2, 3]])
     for n in range(3):
         assert count_outputs(wide, n).count == count_outputs(narrow, n).count
+
+
+@st.composite
+def counting_cases(draw):
+    """(system, n): q <= 6 with n <= 5, or q = 300 with n <= 2.  The draws
+    leave letters in no channel, repeat a channel, nest a channel in another
+    and add single-letter channels."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 6, 300]))
+    visible = draw(st.lists(st.integers(1, q), min_size=1, max_size=6, unique=True))
+    subsets = st.lists(st.sampled_from(visible), min_size=1, unique=True)
+    channels = draw(st.lists(subsets, min_size=1, max_size=4))
+    for extra in draw(st.lists(st.sampled_from(["duplicate", "nested", "single"]),
+                               max_size=3)):
+        base = draw(st.sampled_from(channels))
+        if extra == "duplicate":
+            channels.append(base)
+        elif extra == "nested":
+            channels.append(draw(st.lists(st.sampled_from(base), min_size=1, unique=True)))
+        else:
+            channels.append([draw(st.sampled_from(visible))])
+    n = draw(st.integers(0, 5 if q <= 6 else 2))
+    return ChannelSystem(q, channels), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_cases())
+def test_count_matches_word_by_word_reference(case):
+    system, n = case
+    want = [reference_count(system, i) for i in range(n + 1)]
+    assert count_outputs(system, n).count == want[n]
+    assert [r.count for r in count_sweep(system, n)] == want[1:]
+
+
+def test_count_over_multibyte_letter_codes():
+    # 300 visible letters: each takes a two-byte code in the keys
+    system = ChannelSystem(300, [range(1, 281), range(200, 301)])
+    for n in range(3):
+        assert count_outputs(system, n).count == reference_count(system, n)
+    # 66,000 visible letters need three-byte codes; distinct codes give
+    # every letter its own output
+    wide = ChannelSystem(66_000, [range(1, 66_001), range(60_000, 66_001)])
+    assert count_outputs(wide, 1).count == 66_000
+
+
+def test_count_sweep_matches_count_outputs():
+    for q, channels, n in (
+        (4, [[1, 2], [2, 3], [3, 4], [4, 1]], 7),
+        (4, [[1, 2], [1, 3], [1, 4]], 7),
+        (5, [[1, 2], [2, 3]], 6),  # letters 4 and 5 in no channel
+        (6, [[1, 2], [3, 4]], 5),
+    ):
+        system = ChannelSystem(q, channels)
+        reports = list(count_sweep(system, n))
+        assert [r.n for r in reports] == list(range(1, n + 1))
+        for r in reports:
+            single = count_outputs(system, r.n)
+            assert (r.count, r.rate) == (single.count, single.rate)
+        elapsed = [r.elapsed for r in reports]
+        assert elapsed == sorted(elapsed)
+
+
+def test_count_sweep_refuses_at_the_first_length_over_budget():
+    system = ChannelSystem(3, [[1], [2]])
+    reports = []
+    with pytest.raises(BudgetExceededError) as swept:
+        for report in count_sweep(system, 12, budget=3**5):
+            reports.append(report)
+    assert [(r.n, r.count) for r in reports] == [(1, 3), (2, 6), (3, 10), (4, 15), (5, 21)]
+    with pytest.raises(BudgetExceededError) as single:
+        count_outputs(system, 6, budget=3**5)
+    assert swept.value.n == single.value.n == 6
+    assert str(swept.value) == str(single.value)
+
+
+def test_count_cycle4_beyond_brute_force():
+    # the trace counts of the 4-cycle: I(C4) = 1 + 4x + 2x^2 gives
+    # T_n = 4 T_(n-1) - 2 T_(n-2); n = 10 is 4^10 words
+    want = [1, 4]
+    for _ in range(9):
+        want.append(4 * want[-1] - 2 * want[-2])
+    system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
+    assert [r.count for r in count_sweep(system, 10)] == want[1:]
+    assert want[10] == 259_808
+
+
+def test_count_sunflower_at_n_8():
+    system = ChannelSystem(4, [[1, 2], [1, 3], [1, 4]])
+    assert [r.count for r in count_sweep(system, 8)] == [
+        4, 13, 41, 129, 406, 1278, 4023, 12664]
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_memory_stays_near_one_level():
+    # each level is emptied while the next is built, so the peak stays near
+    # the largest level, which the word-by-word reference also holds
+    system = ChannelSystem(4, [[1, 2, 3, 4]])
+    engine = _peak_bytes(lambda: count_outputs(system, 8))
+    reference = _peak_bytes(lambda: reference_count(system, 8))
+    assert engine <= 1.1 * reference
 
 
 def test_dominated_removal_count_invariance():
@@ -152,6 +263,57 @@ def test_pairs_equality_rejects_reducible():
         verify_pairs_equality(ChannelSystem(3, [[1], [1, 2]]), 3)
     with pytest.raises(ValueError):
         verify_pairs_equality(ChannelSystem(4, [[1, 2], [3, 4]]), 3)
+
+
+def test_pairs_equality_reads_a_given_count():
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    right = count_outputs(system, 5).count
+    assert verify_pairs_equality(system, 5, count=right)
+    assert not verify_pairs_equality(system, 5, count=right + 1)
+
+
+def _enumerate(argv, system):
+    """(exit code, stdout, stderr) of `colorcap enumerate` in this process."""
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(json.dumps(
+        {"q": system.q, "channels": [sorted(c) for c in system.channels]}))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["enumerate", *argv])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    counted = []
+
+    def spy(real):
+        def wrapper(counted_system, n, **kwargs):
+            counted.append(counted_system.t)
+            return real(counted_system, n, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "count_outputs", spy(oracle.count_outputs))
+    monkeypatch.setattr(cli, "count_outputs", spy(cli.count_outputs))
+    monkeypatch.setattr(cli, "count_sweep", spy(cli.count_sweep))
+    code, out, _ = _enumerate(["--n", "6", "--verify-pairs", *sweep], system)
+    assert code == 0 and json.loads(out)["pairs_equal"] is True
+    assert counted == [2, 5]  # the system once, then its 5-edge system
+
+
+def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
+    system = ChannelSystem(4, [[1, 2], [1, 3], [1, 4]])
+    budget = ["--budget", str(4**7)]
+    swept = _enumerate(["--n", "8", "--sweep", "--verify-pairs", *budget], system)
+    single = _enumerate(["--n", "8", "--verify-pairs", *budget], system)
+    assert swept[0] == single[0] == 3
+    assert swept[1] == single[1] == ""
+    assert swept[2] == single[2] == (
+        "error: enumerating 4^8 words exceeds the budget of 16384 states; "
+        "raise the budget to force it\n")
 
 
 def test_edge_system_counts_differ_before_reduction_boundary():
