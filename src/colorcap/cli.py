@@ -335,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bounds", parents=[io_parent],
                    help="clique sandwich, ignoring exact formulas")
     enum = sub.add_parser("enumerate", parents=[io_parent],
-                          help="exhaustive output counting")
+                          help="exact output counting over trace normal forms")
     enum.add_argument("--n", type=int, required=True, metavar="N",
                       help="block length")
     enum.add_argument("--sweep", action="store_true",
                       help="report every length 1..N")
     enum.add_argument("--verify-pairs", action="store_true", dest="verify_pairs",
-                      help="also compare against the pairs-graph edge system")
+                      help="also count the pairs-graph edge system "
+                           "exhaustively and compare")
     enum.add_argument("--budget", type=int, default=None, metavar="STATES",
                       help=f"max q^n states to enumerate (default "
                            f"{DEFAULT_BUDGET}; overrides ${ENV_BUDGET})")

@@ -95,13 +95,20 @@ def test_tuple_keys_above_255_letters():
 
 @st.composite
 def counting_cases(draw):
-    """(system, n): q <= 6 with n <= 5, or q = 300 with n <= 2.  The draws
-    leave letters in no channel, repeat a channel, nest a channel in another
-    and add single-letter channels."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 6, 300]))
-    visible = draw(st.lists(st.integers(1, q), min_size=1, max_size=6, unique=True))
-    subsets = st.lists(st.sampled_from(visible), min_size=1, unique=True)
-    channels = draw(st.lists(subsets, min_size=1, max_size=4))
+    """(system, n): q <= 6 with n <= 5, q = 7 or 8 with n <= 4, or q = 300
+    with n <= 2.  A draw may split the visible letters into two groups whose
+    channels stay apart, so that the system is separable.  The draws leave
+    letters in no channel, repeat a channel, nest a channel in another and
+    add single-letter channels."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 300]))
+    visible = draw(st.lists(st.integers(1, q), min_size=1, max_size=min(q, 8),
+                            unique=True))
+    cut = draw(st.integers(1, len(visible)))
+    channels = []
+    for group in (visible[:cut], visible[cut:]):
+        if group:
+            subsets = st.lists(st.sampled_from(group), min_size=1, unique=True)
+            channels += draw(st.lists(subsets, min_size=1, max_size=4))
     for extra in draw(st.lists(st.sampled_from(["duplicate", "nested", "single"]),
                                max_size=3)):
         base = draw(st.sampled_from(channels))
@@ -111,7 +118,7 @@ def counting_cases(draw):
             channels.append(draw(st.lists(st.sampled_from(base), min_size=1, unique=True)))
         else:
             channels.append([draw(st.sampled_from(visible))])
-    n = draw(st.integers(0, 5 if q <= 6 else 2))
+    n = draw(st.integers(0, 5 if q <= 6 else 4 if q <= 8 else 2))
     return ChannelSystem(q, channels), n
 
 
@@ -122,6 +129,18 @@ def test_count_matches_word_by_word_reference(case):
     want = [reference_count(system, i) for i in range(n + 1)]
     assert count_outputs(system, n).count == want[n]
     assert [r.count for r in count_sweep(system, n)] == want[1:]
+
+
+def test_count_matches_reference_on_every_small_system():
+    # every sequence of one to three channels over q = 3, so every order of
+    # the letter classes the engine keys its states by; [{1}, {2}, {1, 3}]
+    # needs the state to carry the forbidden {2} across the letter 1
+    subsets = [c for r in (1, 2, 3) for c in itertools.combinations([1, 2, 3], r)]
+    for t in (1, 2, 3):
+        for channels in itertools.product(subsets, repeat=t):
+            system = ChannelSystem(3, channels)
+            assert [r.count for r in count_sweep(system, 4)] == [
+                reference_count(system, n) for n in range(1, 5)], channels
 
 
 def test_count_over_multibyte_letter_codes():
@@ -165,21 +184,51 @@ def test_count_sweep_refuses_at_the_first_length_over_budget():
     assert str(swept.value) == str(single.value)
 
 
+def _linear_recurrence(start, coefficients, n):
+    """start extended to n + 1 terms by a_k = sum_j coefficients[j] a_(k-1-j)."""
+    terms = list(start)
+    while len(terms) <= n:
+        terms.append(sum(c * a for c, a in zip(coefficients, reversed(terms))))
+    return terms[:n + 1]
+
+
 def test_count_cycle4_beyond_brute_force():
     # the trace counts of the 4-cycle: I(C4) = 1 + 4x + 2x^2 gives
     # T_n = 4 T_(n-1) - 2 T_(n-2); n = 10 is 4^10 words
-    want = [1, 4]
-    for _ in range(9):
-        want.append(4 * want[-1] - 2 * want[-2])
+    want = _linear_recurrence([1, 4], [4, -2], 1000)
     system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
-    assert [r.count for r in count_sweep(system, 10)] == want[1:]
+    assert [r.count for r in count_sweep(system, 10)] == want[1:11]
     assert want[10] == 259_808
+    assert count_outputs(system, 1000, budget=4**1000).count == want[1000]
 
 
 def test_count_sunflower_at_n_8():
     system = ChannelSystem(4, [[1, 2], [1, 3], [1, 4]])
     assert [r.count for r in count_sweep(system, 8)] == [
         4, 13, 41, 129, 406, 1278, 4023, 12664]
+    # the pairs graph is the star K_(1,3), with trace counts 1/((1-z)^3 - z)
+    want = _linear_recurrence([1, 4, 13], [4, -3, 1], 50)
+    assert [r.count for r in count_sweep(system, 50, budget=4**50)] == want[1:]
+
+
+def test_count_octahedron():
+    # the eight triangles that take one letter of each of {1,2}, {3,4} and
+    # {5,6}: the pairs graph is K_6 minus a perfect matching, whose trace
+    # counts are 1/(1 - 6z + 3z^2)
+    system = ChannelSystem(6, itertools.product([1, 2], [3, 4], [5, 6]))
+    assert [count_outputs(system, n).count for n in range(7)] == [
+        1, 6, 33, 180, 981, 5346, 29133]
+    want = _linear_recurrence([1, 6], [6, -3], 40)
+    assert count_outputs(system, 40, budget=6**40).count == want[40]
+
+
+def test_count_wide_path():
+    # 5,000 channels {i, i+1} on q = 5,001 letters: a word of two letters
+    # loses only the order of two letters that share no channel
+    q = 5_001
+    system = ChannelSystem(q, [[i, i + 1] for i in range(1, q)])
+    assert count_outputs(system, 1).count == q
+    assert count_outputs(system, 2).count == q**2 - (math.comb(q, 2) - (q - 1))
 
 
 def _peak_bytes(fn):
@@ -191,13 +240,26 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+def _exhaustive_count(system, n):
+    return next(len(level) for i, level in enumerate(oracle._levels(system)) if i == n)
+
+
 def test_count_memory_stays_near_one_level():
     # each level is emptied while the next is built, so the peak stays near
     # the largest level, which the word-by-word reference also holds
     system = ChannelSystem(4, [[1, 2, 3, 4]])
+    exhaustive = _peak_bytes(lambda: _exhaustive_count(system, 8))
+    reference = _peak_bytes(lambda: reference_count(system, 8))
+    assert exhaustive <= 1.1 * reference
+
+
+def test_engine_memory_stays_far_below_the_outputs():
+    # a lossless system has one letter class and one automaton state, while
+    # the reference holds all 4^8 outputs: the engine needs under 1% of that
+    system = ChannelSystem(4, [[1, 2, 3, 4]])
     engine = _peak_bytes(lambda: count_outputs(system, 8))
     reference = _peak_bytes(lambda: reference_count(system, 8))
-    assert engine <= 1.1 * reference
+    assert engine <= reference / 100
 
 
 def test_dominated_removal_count_invariance():
@@ -290,18 +352,20 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
     counted = []
 
-    def spy(real):
-        def wrapper(counted_system, n, **kwargs):
-            counted.append(counted_system.t)
-            return real(counted_system, n, **kwargs)
+    def spy(real, counter):
+        def wrapper(counted_system, *args, **kwargs):
+            counted.append((counter, counted_system.t))
+            return real(counted_system, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "count_outputs", spy(oracle.count_outputs))
-    monkeypatch.setattr(cli, "count_outputs", spy(cli.count_outputs))
-    monkeypatch.setattr(cli, "count_sweep", spy(cli.count_sweep))
+    monkeypatch.setattr(oracle, "count_outputs", spy(oracle.count_outputs, "engine"))
+    monkeypatch.setattr(cli, "count_outputs", spy(cli.count_outputs, "engine"))
+    monkeypatch.setattr(cli, "count_sweep", spy(cli.count_sweep, "engine"))
+    monkeypatch.setattr(oracle, "_levels", spy(oracle._levels, "exhaustive"))
     code, out, _ = _enumerate(["--n", "6", "--verify-pairs", *sweep], system)
     assert code == 0 and json.loads(out)["pairs_equal"] is True
-    assert counted == [2, 5]  # the system once, then its 5-edge system
+    # the system once by the engine, then its 5-edge system exhaustively
+    assert counted == [("engine", 2), ("exhaustive", 5)]
 
 
 def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
@@ -318,11 +382,13 @@ def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
 
 def test_edge_system_counts_differ_before_reduction_boundary():
     # sanity: the equality is a fact about views, not a tautology; the
-    # two systems have different channel counts yet identical output counts
+    # two systems have different channel counts yet identical output counts.
+    # count_outputs reads only the pairs graph, so the edge system is
+    # counted word by word
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
     edges = edge_system(system)
     assert edges.t == 5
-    assert count_outputs(system, 6).count == count_outputs(edges, 6).count
+    assert count_outputs(system, 6).count == reference_count(edges, 6)
 
 
 # composition counting
