@@ -11,7 +11,7 @@ enumeration.
 from .bounds import bounds, bounds_cycle, bounds_general
 from .capacity import (
     CapacityResult, capacity, capacity_path, capacity_single, capacity_sunflower,
-    capacity_two_sets, entropy, path_profile,
+    capacity_two_sets, path_profile,
 )
 from .channels import ChannelSystem, apply_channel, apply_system
 from .oracle import (
@@ -55,7 +55,6 @@ __all__ = [
     "classify",
     "count_outputs",
     "edge_system",
-    "entropy",
     "max_clique",
     "path_profile",
     "reconstruct_view",

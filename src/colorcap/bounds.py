@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .capacity import (
-    CapacityResult, _dispatch, _logq, capacity_path, capacity_single, entropy,
-)
+from .capacity import CapacityResult, _dispatch, _logq, capacity_path, capacity_single
 from .channels import ChannelSystem
 from .systems import (
     Cycle, FullClique, SingleChannel, SystemClass, max_clique, remove_dominated,
@@ -51,10 +49,9 @@ def bounds_cycle(t: int, q: int) -> CapacityResult:
     """Sandwich for a cycle of t >= 4 channels {s0,s1}, ..., {s_{t-1},s0}.
 
     Lower: the cycle contains a path of t-1 channels.  Upper: for t = 4 the
-    pairs graph embeds in a (2,1,2)-sunflower's, giving the exact constant
-        (1/sqrt(3) + (1 + 1/sqrt(3)) H(2 - sqrt(3))) log_q 2,
-    and for t >= 5 the four-letter alphabet of any window caps the rate at
-    log_q 4.
+    pairs graph embeds in a (2,1,2)-sunflower's, whose growth rate 2 + sqrt(3)
+    is 1/rho for the root rho = 2 - sqrt(3) of (1 - rho)^2 = 2 rho; for t >= 5
+    the four-letter alphabet of any window caps the rate at log_q 4.
     """
     if t < 4:
         raise ValueError("a cycle of 3 channels has a complete pairs graph; "
@@ -63,11 +60,7 @@ def bounds_cycle(t: int, q: int) -> CapacityResult:
         raise ValueError(f"a cycle of {t} channels needs {t} letters, "
                          f"alphabet has {q}")
     path = capacity_path(t - 1, q)
-    if t == 4:
-        s = math.sqrt(3.0)
-        upper = (1.0 / s + (1.0 + 1.0 / s) * entropy(2.0 - s)) * _logq(2, q)
-    else:
-        upper = _logq(4, q)
+    upper = _logq(2.0 + math.sqrt(3.0) if t == 4 else 4, q)
     return CapacityResult("bounds", "cycle", lower=path.value, upper=upper,
                           witness={"t": t, "lower_path": path.witness})
 

@@ -2,9 +2,11 @@
 
 Capacity is measured in alphabet units: ccap = limsup (1/n) log_q of the
 number of distinguishable output tuples of length-n words, so a lossless
-system has capacity 1.  The closed forms below come from optimizing the
-exponential growth rate over the composition (letter-frequency profile) of
-the input words; each result carries the optimizing profile as a witness.
+system has capacity 1.  The output counts depend only on the pairs graph G
+and satisfy sum_n T_n z^n = 1/I(G, -z), where I is G's independence
+polynomial (Cartier-Foata, Viennot's heaps of pieces).  So every exact
+capacity below is log_q(1/rho) for the least root rho of I(G, -z), and each
+result carries the optimizing letter-frequency profile as a witness.
 
 All logarithms in base q are computed as ln(x)/ln(q) in double precision.
 """
@@ -17,15 +19,6 @@ from .channels import ChannelSystem, Record
 from .systems import (
     Path, Reducible, Separable, Sunflower, SystemClass, TwoSets, classify,
 )
-
-
-def entropy(x: float) -> float:
-    """Binary entropy H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def _logq(x: float, q: int) -> float:
@@ -85,51 +78,39 @@ def capacity_sunflower(k: int, p: int, t: int, q: int) -> CapacityResult:
     """Capacity of a (k, p, t)-sunflower: t channels of size k+p whose
     pairwise intersections all equal a common core of size k.
 
-    The value is g(y*) for
-        g(y) = (1-y) log_q k + y log_q p
-               + (t - (t-1)y) H(y / (t - (t-1)y)) log_q 2,
-    where y* is the unique root in (0, 1) of
-        p t (1-y)^t  =  k y (1 - (t-1)y/t)^(t-1),
-    i.e. the stationary point of the strictly concave g.  y is the fraction
-    of input symbols drawn from the petals.
+    The pairs graph's independence polynomial is (1 + p x)^t + k x, so the
+    value is -log_q(rho) for the one root rho in (0, 1/p) of
+        (1 - p rho)^t  =  k rho,
+    found by bisection down to adjacent doubles.  The witness y* is the
+    fraction of input symbols drawn from the petals,
+        y* = P / (k + P)  with  P = t p (1 - p rho)^(t-1).
     """
     if min(k, p, t) < 1:
         raise ValueError(f"need k, p, t >= 1, got ({k}, {p}, {t})")
     if k + t * p > q:
         raise ValueError(f"a ({k},{p},{t})-sunflower needs {k + t * p} letters, "
                          f"alphabet has {q}")
-
-    def slope_sign(y: float) -> float:
-        # ln of  p t (1-y)^t / (k y (1 - (t-1)y/t)^(t-1)),  same sign as g'(y)
-        return (math.log(p * t) + t * math.log1p(-y) - math.log(k)
-                - math.log(y) - (t - 1) * math.log(1 - (t - 1) * y / t))
-
-    lo, hi = 1e-15, 1.0 - 1e-15
-    for _ in range(200):
-        if hi - lo <= 1e-14:
-            break
-        mid = (lo + hi) / 2.0
-        if slope_sign(mid) > 0.0:
+    lo, hi = 0.0, 1.0 / p
+    mid = hi / 2.0
+    while lo < mid < hi:
+        if (1.0 - p * mid) ** t > k * mid:
             lo = mid
         else:
             hi = mid
-    y = (lo + hi) / 2.0
-    denom = t - (t - 1) * y
-    value = ((1 - y) * _logq(k, q) + y * _logq(p, q)
-             + denom * entropy(y / denom) * _logq(2, q))
-    return CapacityResult("exact", "sunflower", value=value,
-                          witness={"k": k, "p": p, "t": t, "y_star": y})
+        mid = (lo + hi) / 2.0
+    petals = t * p * (1.0 - p * hi) ** (t - 1)
+    return CapacityResult("exact", "sunflower", value=-_logq(hi, q),
+                          witness={"k": k, "p": p, "t": t,
+                                   "y_star": petals / (k + petals)})
 
 
 def capacity_two_sets(k: int, p1: int, p2: int, q: int) -> CapacityResult:
     """Capacity of a pair of channels with core size k and petal sizes p1, p2.
 
-    The optimum of
-        M(x1, x2) = (1-x1-x2) log_q k + x1 log_q p1 + x2 log_q p2
-                    + (1-x2) H(x1/(1-x2)) log_q 2 + (1-x1) H(x2/(1-x1)) log_q 2
-    is attained in closed form at
-        x_i* = 1/2 - (k + p_j - p_i) / (2 sqrt((k+p1+p2)^2 - 4 p1 p2)),
-    where x_i is the input fraction of petal-i letters.
+    The pairs graph's independence polynomial is 1 + s x + p1 p2 x^2 with
+    s = k + p1 + p2, so the value is log_q((s + d) / 2), d = sqrt(s^2 - 4 p1 p2).
+    The input fraction of petal-i letters is
+        x_i* = 1/2 - (k + p_j - p_i) / (2 d).
     """
     if min(k, p1, p2) < 1:
         raise ValueError(f"need k, p1, p2 >= 1, got ({k}, {p1}, {p2})")
@@ -139,10 +120,7 @@ def capacity_two_sets(k: int, p1: int, p2: int, q: int) -> CapacityResult:
     disc = math.sqrt((k + p1 + p2) ** 2 - 4 * p1 * p2)
     x1 = 0.5 - (k + p2 - p1) / (2 * disc)
     x2 = 0.5 - (k + p1 - p2) / (2 * disc)
-    value = ((1 - x1 - x2) * _logq(k, q) + x1 * _logq(p1, q) + x2 * _logq(p2, q)
-             + (1 - x2) * entropy(x1 / (1 - x2)) * _logq(2, q)
-             + (1 - x1) * entropy(x2 / (1 - x1)) * _logq(2, q))
-    return CapacityResult("exact", "two_sets", value=value,
+    return CapacityResult("exact", "two_sets", value=_logq((k + p1 + p2 + disc) / 2, q),
                           witness={"k": k, "p1": p1, "p2": p2,
                                    "x1_star": x1, "x2_star": x2})
 
@@ -174,20 +152,14 @@ def path_profile(t: int) -> tuple[float, list[float], list[float]]:
 def capacity_path(t: int, q: int) -> CapacityResult:
     """Capacity of a path of t channels {s0,s1}, ..., {s_{t-1},s_t}.
 
-    With the profile from path_profile, the value is
-        sum_i (alpha*_{i-1} + alpha*_i) H(alpha*_i / (alpha*_{i-1} + alpha*_i)) log_q 2,
-    which also equals log_q(m*).  A 2-path is a (1,1,2)-sunflower and the
-    same expression applies.
+    The value is log_q(m*) with m* from path_profile, whose alpha* is the
+    optimizing letter profile.  A 2-path is a (1,1,2)-sunflower.
     """
     if t + 1 > q:
         raise ValueError(f"a path of {t} channels needs {t + 1} letters, "
                          f"alphabet has {q}")
     m, r, alpha = path_profile(t)
-    value = math.fsum(
-        (alpha[i - 1] + alpha[i]) * entropy(alpha[i] / (alpha[i - 1] + alpha[i]))
-        for i in range(1, t + 1)
-    ) * _logq(2, q)
-    return CapacityResult("exact", "path", value=value,
+    return CapacityResult("exact", "path", value=_logq(m, q),
                           witness={"t": t, "m_star": m, "r_star": r,
                                    "alpha_star": alpha})
 
@@ -198,7 +170,8 @@ def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
     leaf_fn(system, cls) handles an irreducible system of class cls.
     Component results combine into an exact maximum when all are exact,
     otherwise into the interval of the pointwise maxima.  The witness
-    records the reduction chain.
+    records the reduction chain; a separable system's winner is the first
+    component with the largest lower end.
     """
     cls = classify(system)
     if isinstance(cls, Reducible):

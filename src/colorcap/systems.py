@@ -31,8 +31,11 @@ def remove_dominated(system: ChannelSystem) -> ChannelSystem:
     Survivors keep their original order; the system itself comes back when
     nothing is dropped.  Idempotent.
     """
-    chans, holders = system.channels, _holders(system)
-    kept = []
+    return _remove_dominated(system, _holders(system))
+
+
+def _remove_dominated(system: ChannelSystem, holders: dict[int, list[int]]) -> ChannelSystem:
+    chans, kept = system.channels, []
     for i, ch in enumerate(chans):
         # any channel holding ch also holds ch's least-held letter
         rarest = min(ch, key=lambda a: len(holders[a]))
@@ -48,15 +51,19 @@ def separable_split(system: ChannelSystem) -> list[ChannelSystem]:
     relative channel order; each carries the original alphabet size.
     Returns [system] when no split exists.
     """
-    chans, holders = system.channels, _holders(system)
-    seen, groups = set(), []
+    return _separable_split(system, _holders(system))
+
+
+def _separable_split(system: ChannelSystem, holders: dict[int, list[int]]) -> list[ChannelSystem]:
+    chans, seen, read, groups = system.channels, set(), set(), []
     for first in range(len(chans)):
         if first not in seen:
             seen.add(first)
             groups.append([first])
             for i in groups[-1]:  # the group grows as the walk reaches channels
-                for a in chans[i]:  # each letter's holders are read once
-                    for j in holders.pop(a, ()):
+                for a in chans[i] - read:  # each letter's holders are read once
+                    read.add(a)
+                    for j in holders[a]:
                         if j not in seen:
                             seen.add(j)
                             groups[-1].append(j)
@@ -196,10 +203,11 @@ def classify(system: ChannelSystem) -> SystemClass:
     and FullClique off the letter classes of the same map (no shape has a
     complete pairs graph); else General.  Channel order never matters.
     """
-    reduced = remove_dominated(system)
+    holders = _holders(system)
+    reduced = _remove_dominated(system, holders)
     if reduced != system:
         return Reducible(reduced)
-    components = separable_split(system)
+    components = _separable_split(system, holders)
     if len(components) > 1:
         return Separable(tuple(components))
     chans, t = system.channels, system.t
@@ -209,7 +217,6 @@ def classify(system: ChannelSystem) -> SystemClass:
         a, b = chans
         # irreducible with t = 2 forces k, p1, p2 >= 1
         return TwoSets(len(a & b), len(a - b), len(b - a))
-    holders = _holders(system)
     degs, sizes = sorted(map(len, holders.values())), {len(c) for c in chans}
     # core letters lie in all t channels, petal letters in one each
     if degs[-1] == t and len(sizes) == 1 and set(degs) <= {1, t}:

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules; pytest collects nothing here."""
 
 import itertools
+import math
 from collections import Counter
 from math import comb, prod
 from typing import Sequence
@@ -168,3 +169,41 @@ def composition_count_path(a: Sequence[int]) -> int:
     if any(x < 0 for x in a):
         raise ValueError("composition entries must be >= 0")
     return prod(comb(a[i - 1] + a[i], a[i]) for i in range(1, len(a)))
+
+
+def entropy(x: float) -> float:
+    """Binary entropy H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0.
+
+    The paper's capacity objectives are sums of these terms; the tests
+    evaluate them at the package's witnesses as an independent check of its
+    growth-rate values.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"entropy argument must lie in [0, 1], got {x}")
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def sunflower_objective(k: int, p: int, t: int, q: int, y: float) -> float:
+    """The paper's sunflower objective g(y) in alphabet units:
+    (1-y) log_q k + y log_q p + (t - (t-1)y) H(y / (t - (t-1)y)) log_q 2."""
+    denom = t - (t - 1) * y
+    return ((1 - y) * math.log(k) + y * math.log(p)
+            + denom * entropy(y / denom) * math.log(2)) / math.log(q)
+
+
+def two_sets_objective(k: int, p1: int, p2: int, q: int, a: float, b: float) -> float:
+    """The paper's two-sets objective M(x1, x2) in alphabet units."""
+    return ((1 - a - b) * math.log(k) + a * math.log(p1) + b * math.log(p2)
+            + ((1 - b) * entropy(a / (1 - b))
+               + (1 - a) * entropy(b / (1 - a))) * math.log(2)) / math.log(q)
+
+
+def path_objective(alpha: Sequence[float], q: int) -> float:
+    """The paper's path objective in alphabet units: the sum over consecutive
+    letters of (alpha_{i-1} + alpha_i) H(alpha_i / (alpha_{i-1} + alpha_i)) log_q 2."""
+    return math.fsum(
+        (alpha[i - 1] + alpha[i]) * entropy(alpha[i] / (alpha[i - 1] + alpha[i]))
+        for i in range(1, len(alpha))
+    ) * math.log(2) / math.log(q)

@@ -15,7 +15,7 @@ from colorcap import (
     count_outputs,
     max_clique,
 )
-from helpers import pairs
+from helpers import entropy, pairs
 
 # oracle counts for the 4-cycle over q=4, frozen from exhaustive enumeration
 CYCLE_4_COUNTS = {
@@ -95,14 +95,14 @@ def test_cycle_bounds_four():
     assert math.isclose(
         result.lower, capacity_path(3, 4).value, abs_tol=1e-15
     )
-    # the 4-cycle's entropy-form upper bound coincides with the capacity of
-    # two triples sharing two letters
+    # the 4-cycle's upper bound log_q(2 + sqrt 3) is the growth rate of two
+    # triples sharing two letters, and the paper's entropy form of it
+    s = math.sqrt(3.0)
     for q in range(4, 9):
-        assert math.isclose(
-            bounds_cycle(4, q).upper,
-            capacity_sunflower(2, 1, 2, q).value,
-            abs_tol=1e-9,
-        )
+        upper = bounds_cycle(4, q).upper
+        assert math.isclose(upper, capacity_sunflower(2, 1, 2, q).value, abs_tol=1e-15)
+        paper = (1 / s + (1 + 1 / s) * entropy(2 - s)) * math.log(2) / math.log(q)
+        assert math.isclose(upper, paper, abs_tol=1e-12)
 
 
 def test_cycle_bounds_long():

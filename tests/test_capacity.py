@@ -15,15 +15,18 @@ from hypothesis import strategies as st
 from colorcap import (
     CapacityResult,
     ChannelSystem,
+    bounds_cycle,
     capacity,
     capacity_path,
     capacity_single,
     capacity_sunflower,
     capacity_two_sets,
-    entropy,
     path_profile,
 )
-from helpers import chebyshev_U, chebyshev_W
+from helpers import (
+    chebyshev_U, chebyshev_W, entropy, path_objective, sunflower_objective,
+    two_sets_objective,
+)
 
 # growth rate of ({1,3},{2,3}) over q=3 (and of any one-core pair of
 # disjoint petals, modulo the log base)
@@ -187,42 +190,73 @@ def test_path_two_matches_sunflower():
         assert math.isclose(
             capacity_path(2, q).value,
             capacity_sunflower(1, 1, 2, q).value,
-            abs_tol=1e-12,
+            abs_tol=1e-15,
         )
 
 
+def test_equal_petals_two_sets_match_sunflower():
+    # both are log_q of one growth rate: I = 1 + (k + 2p) x + p^2 x^2
+    for k in range(1, 8):
+        for p in range(1, 8):
+            q = k + 2 * p
+            assert math.isclose(
+                capacity_two_sets(k, p, p, q).value,
+                capacity_sunflower(k, p, 2, q).value,
+                abs_tol=1e-15,
+            )
+
+
+def test_paw_capacity_equals_its_growth_rate():
+    # the paw and the 4-cycle share I = 1 + 4x + 2x^2, so the paw's exact
+    # capacity log_4(2 + sqrt 2) lies in the 4-cycle's sandwich
+    paw = capacity(ChannelSystem(4, [[1, 2], [1, 3, 4]]))
+    assert paw.method == "two_sets"
+    assert math.isclose(paw.value, UNEQUAL_Q4, abs_tol=1e-15)
+    assert math.isclose(paw.value, math.log(2 + math.sqrt(2)) / math.log(4), abs_tol=1e-15)
+    cycle = bounds_cycle(4, 4)
+    assert cycle.lower <= paw.value <= cycle.upper
+
+
+def test_sunflower_value_is_the_objective_at_its_witness():
+    for k in range(1, 6):
+        for p in range(1, 6):
+            for t in range(1, 8):
+                q = k + t * p
+                res = capacity_sunflower(k, p, t, q)
+                g = sunflower_objective(k, p, t, q, res.witness["y_star"])
+                assert math.isclose(res.value, g, abs_tol=1e-12), (k, p, t)
+
+
+def test_path_value_is_the_objective_at_its_witness():
+    for t in range(2, 30):
+        res = capacity_path(t, t + 1)
+        g = path_objective(res.witness["alpha_star"], t + 1)
+        assert math.isclose(res.value, g, abs_tol=1e-12), t
+
+
 def test_sunflower_stationarity():
-    # the bisection root must kill the derivative of the objective
+    # the petals' frequency at the growth rate's root must kill the
+    # derivative of the paper's objective
     for k, p, t in [(1, 1, 2), (2, 1, 2), (1, 1, 3), (3, 2, 4), (1, 5, 2)]:
         q = k + t * p
-        y = capacity_sunflower(k, p, t, max(q, 2)).witness["y_star"]
+        y = capacity_sunflower(k, p, t, q).witness["y_star"]
         h = 1e-7
 
-        def g(yy, k=k, p=p, t=t, q=max(q, 2)):
-            denom = t - (t - 1) * yy
-            return (
-                (1 - yy) * math.log(k)
-                + yy * math.log(p)
-                + denom * entropy(yy / denom) * math.log(2)
-            ) / math.log(q)
+        def g(yy, k=k, p=p, t=t, q=q):
+            return sunflower_objective(k, p, t, q, yy)
 
         slope = (g(y + h) - g(y - h)) / (2 * h)
         assert abs(slope) < 1e-6
 
 
 def test_sunflower_objective_concave_everywhere():
-    # concavity on (0, 1) makes the bisected stationary point the maximum
+    # concavity on (0, 1) makes the stationary witness the maximum
     h = 1e-5
     for k, p, t in [(1, 1, 3), (2, 1, 2), (1, 3, 4), (3, 2, 5)]:
         q = k + t * p
 
         def g(yy, k=k, p=p, t=t, q=q):
-            denom = t - (t - 1) * yy
-            return (
-                (1 - yy) * math.log(k)
-                + yy * math.log(p)
-                + denom * entropy(yy / denom) * math.log(2)
-            ) / math.log(q)
+            return sunflower_objective(k, p, t, q, yy)
 
         for i in range(1, 20):
             y = i / 20
@@ -240,14 +274,7 @@ def test_two_sets_stationarity():
         x1, x2 = res.witness["x1_star"], res.witness["x2_star"]
 
         def m_val(a, b, k=k, p1=p1, p2=p2, q=q):
-            lg = lambda v: math.log(v) / math.log(q)
-            return (
-                (1 - a - b) * lg(k)
-                + a * lg(p1)
-                + b * lg(p2)
-                + ((1 - b) * entropy(a / (1 - b))
-                   + (1 - a) * entropy(b / (1 - a))) * lg(2)
-            )
+            return two_sets_objective(k, p1, p2, q, a, b)
 
         h = 1e-7
         assert abs((m_val(x1 + h, x2) - m_val(x1 - h, x2)) / (2 * h)) < 1e-5
@@ -281,14 +308,7 @@ def test_two_sets_hessian_matches_objective():
     k, p1, p2, q = 1, 1, 2, 4
 
     def m_val(a, b):
-        lg = lambda v: math.log(v) / math.log(q)
-        return (
-            (1 - a - b) * lg(k)
-            + a * lg(p1)
-            + b * lg(p2)
-            + ((1 - b) * entropy(a / (1 - b))
-               + (1 - a) * entropy(b / (1 - a))) * lg(2)
-        )
+        return two_sets_objective(k, p1, p2, q, a, b)
 
     a, b = 0.2, 0.3
     h = 1e-4
@@ -387,6 +407,15 @@ def test_dispatch_separable_with_bound_component():
     r = capacity(system)
     assert r.kind == "bounds"
     assert r.lower >= math.log(5) / math.log(9) - 1e-12
+
+
+def test_dispatch_separable_tie_goes_to_the_first_component():
+    # the 4-cycle's lower end log_9 3 and the triple's log_9 3 are both 0.5
+    r = capacity(ChannelSystem(9, [[1, 2], [2, 3], [3, 4], [4, 1], [5, 6, 7]]))
+    lowers = [part["lower"] if part["kind"] == "bounds" else part["value"]
+              for part in r.witness["components"]]
+    assert lowers == [0.5, 0.5]
+    assert r.witness["winner"] == 0
 
 
 def test_dispatch_full_clique():

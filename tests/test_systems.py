@@ -373,6 +373,21 @@ def test_full_clique_and_general_build_the_pairs_graph(monkeypatch, channels):
         classify(system)
 
 
+@pytest.mark.parametrize("channels", [
+    [[1, 2], [1, 2, 3], [1, 4]],
+    [[1, 2], [3, 4]],
+    [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]],
+])
+def test_classify_builds_the_letter_map_once(monkeypatch, channels):
+    # reduction, splitting and the shape tests share one letter map per level
+    builds, build = [], colorcap.systems._holders
+    monkeypatch.setattr(colorcap.systems, "_holders",
+                        lambda system: builds.append(system) or build(system))
+    system = ChannelSystem(5, channels)
+    classify(system)
+    assert builds == [system]
+
+
 @st.composite
 def small_systems(draw):
     """Systems with q <= 7 and t <= 6: arbitrary ones, and relabeled
