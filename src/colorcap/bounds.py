@@ -15,8 +15,8 @@ import math
 from .capacity import CapacityResult, _dispatch, _logq, capacity_path, capacity_single
 from .channels import ChannelSystem
 from .systems import (
-    Cycle, FullClique, SingleChannel, SystemClass, max_clique, remove_dominated,
-    separable_split,
+    Cycle, FullClique, Reducible, Separable, SingleChannel, SystemClass, classify,
+    max_clique,
 )
 
 
@@ -28,7 +28,7 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     """
     if system.t < 2:
         raise ValueError("general bounds need at least two channels")
-    if remove_dominated(system) != system or len(separable_split(system)) > 1:
+    if isinstance(classify(system), (Reducible, Separable)):
         raise ValueError("general bounds expect an irreducible system; "
                          "reduce and split it first")
     return _clique_sandwich(system)

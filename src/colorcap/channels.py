@@ -51,9 +51,6 @@ class ChannelSystem(Record):
     indexed by channel), duplicates are allowed.
     """
 
-    q: int
-    channels: tuple[frozenset[int], ...]
-
     def __init__(self, q: int, channels: Iterable[Iterable[int]]):
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
             raise ValueError(f"alphabet size must be an integer >= 2, got {q!r}")

@@ -20,9 +20,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 
 from .channels import ChannelSystem, Record, apply_channel
-from .systems import (
-    _holders, _letter_classes, edge_system, remove_dominated, separable_split,
-)
+from .systems import Reducible, Separable, _class_graph, _holders, classify, edge_system
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -60,19 +58,13 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
     its states of count * |letters not in S|, and level k+1 is built only
     when a longer length is asked for.
     """
-    classes = list(_letter_classes(_holders(system)).items())
-    holds = [0] * system.t  # each channel's classes
-    for c, (idx, _) in enumerate(classes):
-        for i in idx:
-            holds[i] |= 1 << c
+    members, adj = _class_graph(system)
     steps, by_size = [], {}
-    for c, (idx, letters) in enumerate(classes):
-        dep = 0
-        for i in idx:
-            dep |= holds[i]
+    for c, (letters, near) in enumerate(zip(members, adj)):
+        dep = sum(1 << d for d in near) | 1 << c  # the classes c does not commute with
         steps.append((1 << c, ~dep, ((1 << c) - 1) & ~dep, len(letters)))
         by_size[len(letters)] = by_size.get(len(letters), 0) | 1 << c
-    visible = sum(len(letters) for _, letters in classes)
+    visible = sum(map(len, members))
 
     def allowed(state: int) -> int:
         return visible - sum(size * (state & mask).bit_count()
@@ -111,10 +103,10 @@ def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
     the next level clears the last one and frees its keys as it reads them,
     so read each level before asking for the next.
     """
-    visible = sorted(system.letters)
+    holders = _holders(system)
+    visible = sorted(holders)
     width = next(w for w in itertools.count(1) if 255 ** w >= len(visible))
-    steps = [(bytes(i // 255 ** d % 255 + 1 for d in range(width)),
-              [j for j, ch in enumerate(system.channels) if a in ch])
+    steps = [(bytes(i // 255 ** d % 255 + 1 for d in range(width)), holders[a])
              for i, a in enumerate(visible)]
     if len(visible) < system.q:
         steps.append((b"", []))  # a letter in no channel changes nothing
@@ -126,9 +118,9 @@ def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
         level.clear()
         while keys:
             views = keys.pop().split(b"\0")
-            for code, holders in steps:
+            for code, idx in steps:
                 out = views.copy()
-                for j in holders:
+                for j in idx:
                     out[j] += code
                 extended.add(b"\0".join(out))
         level = extended
@@ -250,7 +242,7 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     """
     if system.t < 2:
         raise ValueError("pairs equality needs at least two channels")
-    if remove_dominated(system) != system or len(separable_split(system)) > 1:
+    if isinstance(classify(system), (Reducible, Separable)):
         raise ValueError("pairs equality expects an irreducible system; "
                          "reduce and split it first")
     edges = edge_system(system)

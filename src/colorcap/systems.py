@@ -97,21 +97,28 @@ def edge_system(system: ChannelSystem) -> ChannelSystem:
     return ChannelSystem(system.q, sorted(edges))
 
 
-def max_clique(system: ChannelSystem) -> frozenset[int]:
-    """One maximum clique of the pairs graph (lexicographically least among
-    the largest): Bron-Kerbosch with pivoting over the letter classes, run on
-    an explicit stack and keeping only the best maximal clique found so far.
+def _class_graph(system: ChannelSystem) -> tuple[list[list[int]], list[set[int]]]:
+    """The pairs graph on letter classes: each class's letters, and the set of
+    the other classes that share a channel with it (the class's neighbours).
     """
     classes = _letter_classes(_holders(system))
-    members = [tuple(letters) for letters in classes.values()]
     holds: list[set[int]] = [set() for _ in system.channels]
     for c, idx in enumerate(classes):
         for i in idx:
             holds[i].add(c)
     adj = [set().union(*(holds[i] for i in idx)) - {c} for c, idx in enumerate(classes)]
+    return list(classes.values()), adj
+
+
+def max_clique(system: ChannelSystem) -> frozenset[int]:
+    """One maximum clique of the pairs graph (lexicographically least among
+    the largest): Bron-Kerbosch with pivoting over the letter classes, run on
+    an explicit stack and keeping only the best maximal clique found so far.
+    """
+    members, adj = _class_graph(system)
     # a single letter is a clique of the graph on [q]; any two letters beat it
     best: tuple[int, list[int]] = (-1, [1])
-    stack = [((), set(range(len(adj))), set())]
+    stack = [([], set(range(len(adj))), set())]
     while stack:
         r, p, x = stack.pop()
         if not p and not x:

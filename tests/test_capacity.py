@@ -353,6 +353,14 @@ def test_parameter_validation():
         capacity_path(1, 4)
     with pytest.raises(ValueError):
         capacity_path(4, 4)  # needs q >= t + 1
+    with pytest.raises(ValueError, match="alphabet size"):
+        capacity_single(1, 1)
+    with pytest.raises(ValueError, match="channel size"):
+        capacity_single(0, 4)
+    with pytest.raises(ValueError, match="channel size"):
+        capacity_single(5, 4)
+    with pytest.raises(ValueError, match="two sets with parameters"):
+        capacity_two_sets(1, 1, 2, 3)  # needs q >= k + p1 + p2
 
 
 @given(
@@ -374,6 +382,10 @@ def test_capacity_result_validation():
         CapacityResult("exact", "m", value=1.5)
     with pytest.raises(ValueError):
         CapacityResult("bounds", "m", lower=0.8, upper=0.7)
+    with pytest.raises(ValueError, match="both endpoints"):
+        CapacityResult("bounds", "m", lower=0.5)
+    with pytest.raises(ValueError, match="kind must be"):
+        CapacityResult("approx", "m", value=0.5)
     interval = CapacityResult("bounds", "m", lower=0.5, upper=0.9).interval()
     assert interval == (0.5, 0.9)
     assert CapacityResult("exact", "m", value=0.5).interval() == (0.5, 0.5)

@@ -321,6 +321,8 @@ def test_pairs_equality_named_q4_systems():
 
 
 def test_pairs_equality_rejects_reducible():
+    with pytest.raises(ValueError, match="at least two channels"):
+        verify_pairs_equality(ChannelSystem(3, [[1, 2]]), 3)
     with pytest.raises(ValueError):
         verify_pairs_equality(ChannelSystem(3, [[1], [1, 2]]), 3)
     with pytest.raises(ValueError):
@@ -366,6 +368,18 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     assert code == 0 and json.loads(out)["pairs_equal"] is True
     # the system once by the engine, then its 5-edge system exhaustively
     assert counted == [("engine", 2), ("exhaustive", 5)]
+
+
+def test_verify_pairs_with_a_letter_in_no_channel():
+    # letter 5 lies in no channel, so the exhaustive counter's step for it
+    # changes no view
+    system = ChannelSystem(5, [[1, 2], [2, 3], [3, 4], [4, 1]])
+    code, out, _ = _enumerate(["--n", "5", "--verify-pairs"], system)
+    doc = json.loads(out)
+    assert code == 0 and doc["pairs_equal"] is True
+    last = doc["enumeration"][-1]
+    assert (last["n"], last["count"]) == (5, "791")
+    assert reference_count(system, 5) == 791
 
 
 def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
@@ -583,6 +597,17 @@ def test_reconstruct_documented_round_trip():
 def test_reconstruct_missing_view():
     with pytest.raises(ReconstructionError, match="missing view"):
         reconstruct_view({frozenset({1, 2}): (1, 2)}, frozenset({1, 2, 3}))
+
+
+@pytest.mark.parametrize("views, channel, error, message", [
+    ({}, {1}, ValueError, "at least 2 letters"),
+    ({(1, 2): (1, 2), (2, 1): (2, 1)}, {1, 2}, ReconstructionError, "duplicate pair keys"),
+    ({(1, 2): (1, 2), (1, 3): (1, 3)}, {1, 2}, ReconstructionError,
+     r"view for \(1, 3\) is not a pair of the channel"),
+])
+def test_reconstruct_rejects_malformed_input(views, channel, error, message):
+    with pytest.raises(error, match=message):
+        reconstruct_view(views, frozenset(channel))
 
 
 def test_reconstruct_count_mismatch():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colorcap.oracle
 import colorcap.systems
 from colorcap import (
     ChannelSystem,
@@ -21,12 +22,15 @@ from colorcap import (
     SingleChannel,
     Sunflower,
     TwoSets,
+    bounds_general,
     capacity,
     classify,
+    count_outputs,
     edge_system,
     max_clique,
     remove_dominated,
     separable_split,
+    verify_pairs_equality,
 )
 from helpers import (
     brute_max_clique, pairs, reference_classify, reference_remove_dominated,
@@ -386,6 +390,41 @@ def test_classify_builds_the_letter_map_once(monkeypatch, channels):
     system = ChannelSystem(5, channels)
     classify(system)
     assert builds == [system]
+
+
+def test_clique_and_trace_counter_read_one_class_graph(monkeypatch):
+    graphs, graph = [], colorcap.systems._class_graph
+
+    def spy(system):
+        graphs.append(system)
+        return graph(system)
+
+    for module in (colorcap.systems, colorcap.oracle):
+        monkeypatch.setattr(module, "_class_graph", spy)
+    system = ChannelSystem(5, [[1, 2, 3], [3, 4], [4, 5], [5, 1]])
+    count_outputs(system, 4)
+    assert graphs == [system]
+    graphs.clear()
+    max_clique(system)
+    assert graphs == [system]
+
+
+@pytest.mark.parametrize("check", [
+    bounds_general, lambda system: verify_pairs_equality(system, 3),
+], ids=["bounds_general", "verify_pairs_equality"])
+def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
+    builds, build = [], colorcap.systems._holders
+    monkeypatch.setattr(colorcap.systems, "_holders",
+                        lambda system: builds.append(system) or build(system))
+    # a separable system stops at the guard: one classify, one letter map
+    split = ChannelSystem(5, [[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="irreducible"):
+        check(split)
+    assert builds == [split]
+    # an irreducible one passes it on to one class graph
+    system = ChannelSystem(5, [[1, 2, 3], [3, 4], [4, 5], [5, 1]])
+    check(system)
+    assert builds.count(system) == 2
 
 
 @st.composite
