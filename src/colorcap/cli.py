@@ -9,6 +9,7 @@ budget refusal, 4 on inconsistent reconstruction views.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -359,9 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import, and shared by later calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command on argv (default sys.argv[1:]) and return its exit code.
+
+    main may be called any number of times in one process.  The calls share
+    one parser, built on the first call; each call reads stdin, stdout and
+    $COLORCAP_BUDGET afresh and keeps no state for the next.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         write_json(COMMANDS[args.command](args), args.output)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,6 +146,12 @@ def _reports(system: ChannelSystem, lengths: Iterable[int], budget: int | None,
                                 elapsed=time.perf_counter() - start)
 
 
+def _check_length(n) -> None:
+    # _reports looks for n among the lengths 0, 1, 2, ..., which never end
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"block length must be an integer, got {n!r}")
+
+
 def count_outputs(system: ChannelSystem, n: int, *,
                   budget: int | None = None) -> EnumerationReport:
     """Exact number of distinct output tuples over all q^n words.
@@ -153,6 +159,7 @@ def count_outputs(system: ChannelSystem, n: int, *,
     Raises BudgetExceededError when q^n exceeds the budget (default
     DEFAULT_BUDGET states).
     """
+    _check_length(n)
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
     return next(_reports(system, [n], budget, _outputs(system)))
@@ -165,6 +172,7 @@ def count_sweep(system: ChannelSystem, n: int, *,
     Each report's elapsed is the time since the sweep began.  Raises
     BudgetExceededError at the first length whose q^n exceeds the budget.
     """
+    _check_length(n)
     return _reports(system, range(1, n + 1), budget, _outputs(system))
 
 
@@ -240,6 +248,7 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     caller as count; the edge system is counted exhaustively (_levels), so
     the check does not rest on the trace counting it tests.
     """
+    _check_length(n)
     if system.t < 2:
         raise ValueError("pairs equality needs at least two channels")
     if isinstance(classify(system), (Reducible, Separable)):

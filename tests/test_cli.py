@@ -385,6 +385,65 @@ def test_unwritable_output_exit_2(tmp_path):
     _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
 
 
+def test_main_calls_in_one_process_carry_no_state(tmp_path, monkeypatch):
+    monkeypatch.delenv("COLORCAP_BUDGET", raising=False)
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps(PATH2))
+
+    def run(*flags):
+        code, stdout, stderr = _main([*flags, "--input", str(src)])
+        return code, json.loads(stdout) if code == 0 else None, stderr
+
+    classify = run("classify")
+    assert classify[0] == 0
+    code, doc, _ = run("enumerate", "--sweep", "--verify-pairs", "--budget", "500",
+                       "--n", "5")
+    assert code == 0 and doc["pairs_equal"] is True
+    code, doc, _ = run("enumerate", "--sweep", "--budget", "500", "--n", "8")
+    assert code == 0 and doc["truncated"] is True
+    code, doc, _ = run("enumerate", "--n", "3")
+    assert code == 0
+    assert "pairs_equal" not in doc and "truncated" not in doc
+    assert [(r["n"], r["count"]) for r in doc["enumeration"]] == [(3, "21")]
+    # the budget of 500 stays with the calls that gave it: 3^6 = 729 counts
+    assert run("enumerate", "--n", "6")[0] == 0
+
+    monkeypatch.setenv("COLORCAP_BUDGET", "100")
+    assert run("enumerate", "--n", "6")[0] == 3
+    monkeypatch.delenv("COLORCAP_BUDGET")
+    assert run("enumerate", "--n", "6")[0] == 0
+
+    _assert_rejected(*_main(["enumerate", "--n", "abc", "--input", str(src)]), 2)
+    assert run("classify") == classify
+    code, stdout, _ = _main(["--help"])
+    assert code == 0 and stdout.startswith("usage: colorcap")
+    assert run("classify") == classify
+
+
+def test_parser_is_built_once_per_process_and_not_at_import():
+    # counts every ArgumentParser made in a fresh process: none at import,
+    # and three main calls make as many as one build_parser call
+    parent = os.path.dirname(os.path.dirname(colorcap.cli.__file__))
+    probe = (
+        f"import sys, os, argparse; sys.path.insert(0, {parent!r})\n"
+        "made, init = [], argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import colorcap.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(3):\n"
+        "    assert colorcap.cli.main(['table', '--which', 'q3', '--output', os.devnull]) == 0\n"
+        "counts.append(len(made))\n"
+        "colorcap.cli.build_parser()\n"
+        "print(counts + [len(made)])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_main, after_build = json.loads(proc.stdout)
+    assert at_import == 0
+    assert after_main > 0 and after_build - after_main == after_main
+
+
 _letters = st.integers(-1, 7)
 _json = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),

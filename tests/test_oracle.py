@@ -72,6 +72,16 @@ def test_count_rejects_negative_n():
         count_outputs(ChannelSystem(2, [[1, 2]]), -1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
+def test_counts_reject_a_non_integer_length(n):
+    # 2.5 used to run forever: the count looked for length 2.5 among 0, 1, 2, ...
+    system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
+    for call in (lambda: count_outputs(system, n), lambda: count_sweep(system, n),
+                 lambda: verify_pairs_equality(system, n, count=1)):
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            call()
+
+
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError) as info:
         count_outputs(ChannelSystem(4, [[1, 2]]), 30, budget=10**6)
