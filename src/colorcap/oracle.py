@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from collections.abc import Iterable, Iterator, Mapping
 
-from .channels import ChannelSystem, Record, apply_channel
+from .channels import ChannelSystem, Record
 from .systems import Reducible, Separable, _class_graph, _holders, classify, edge_system
 
 DEFAULT_BUDGET = 200_000_000
@@ -150,6 +151,8 @@ def _check_length(n) -> None:
     # _reports looks for n among the lengths 0, 1, 2, ..., which never end
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"block length must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"block length must be >= 0, got {n}")
 
 
 def count_outputs(system: ChannelSystem, n: int, *,
@@ -160,8 +163,6 @@ def count_outputs(system: ChannelSystem, n: int, *,
     DEFAULT_BUDGET states).
     """
     _check_length(n)
-    if n < 0:
-        raise ValueError(f"block length must be >= 0, got {n}")
     return next(_reports(system, [n], budget, _outputs(system)))
 
 
@@ -184,13 +185,16 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     """Rebuild the projection onto `channel` from all its pairwise views.
 
     pair_views maps each 2-subset {a, b} of the channel to the projection of
-    the word onto {a, b}.  With m letters in the channel, the j-th a of the
-    word (counting from 0) has j earlier a's and, in each view (a, b), every
-    earlier b before it, so it sits at sum_b idx_ab(j) - (m - 2) * j, where
-    idx_ab(j) is the index of the j-th a in view (a, b).  Each letter is
-    placed there directly; the result is returned only if every view equals
-    its projection onto that view's pair, so inconsistent views raise
-    ReconstructionError.
+    the word onto {a, b}.  Each letter is coded as one character, its rank
+    in the sorted channel, so every view is a string and each pass over it
+    is one str method.  In view (a, b), view.split(a) gives the runs of b's
+    between consecutive a's.  The j-th a of the word (counting from 0) comes
+    after j earlier a's and, for every other letter b, after the b's in the
+    first j + 1 runs of view (a, b); it is placed straight into that slot.
+    The rebuilt word is returned only if every view equals its projection
+    onto that view's pair, one str.translate that deletes the other letters,
+    so inconsistent views raise ReconstructionError.  The cost is linear in
+    the total length of the views, plus one translate of the word per pair.
     """
     letters = sorted(set(channel))
     m = len(letters)
@@ -199,43 +203,61 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     normalized = {frozenset(key): tuple(word) for key, word in pair_views.items()}
     if len(normalized) != len(pair_views):
         raise ReconstructionError("duplicate pair keys in the views")
-    views: dict[tuple[int, int], tuple] = {}
-    for pair in itertools.combinations(letters, 2):
+    codes = list(map(chr, range(m)))
+    views: dict[tuple[int, int], str] = {}
+    own: list[list[str]] = [[] for _ in letters]  # the views of each letter
+    for i, j in itertools.combinations(range(m), 2):
+        pair = letters[i], letters[j]
         key = frozenset(pair)
         if key not in normalized:
             raise ReconstructionError(f"missing view for pair {pair}")
         view = normalized.pop(key)
-        bad = [s for s in view if s not in pair]
-        if bad:
-            raise ReconstructionError(
-                f"view for pair {pair} contains foreign symbol {bad[0]}")
-        views[pair] = view
+        try:
+            # a symbol outside the pair maps to None, which join rejects
+            coded = "".join(map({pair[0]: codes[i], pair[1]: codes[j]}.get, view))
+        except TypeError:  # or on a symbol that cannot be hashed
+            for s in view:
+                if s not in pair:
+                    raise ReconstructionError(
+                        f"view for pair {pair} contains foreign symbol {s}") from None
+            # every symbol equals a letter of the pair, though not by its hash
+            coded = "".join(codes[i] if s in pair[:1] else codes[j] for s in view)
+        views[i, j] = coded
+        own[i].append(coded)
+        own[j].append(coded)
     if normalized:
         extra = tuple(sorted(next(iter(normalized))))
         raise ReconstructionError(f"view for {extra} is not a pair of the channel")
 
-    own = {a: [v for pair, v in views.items() if a in pair] for a in letters}
-    length = 0
-    for a in letters:
-        counts = {v.count(a) for v in own[a]}
-        if len(counts) > 1:
+    counts = []
+    for a, c, vs in zip(letters, codes, own):
+        found = {v.count(c) for v in vs}
+        if len(found) > 1:
             raise ReconstructionError(
                 f"letter {a} occurs a different number of times across views")
-        length += counts.pop()
+        counts.append(found.pop())
 
-    # with equal counts every slot lies in 0..length-1; a slot written twice
-    # leaves another empty, which the projection check below rejects
-    out = [None] * length
-    for a in letters:
-        slots = zip(*((i for i, s in enumerate(v) if s == a) for v in own[a]))
-        for j, indices in enumerate(slots):
-            out[sum(indices) - (m - 2) * j] = a
-    word = tuple(out)
-    for pair, v in views.items():
-        if apply_channel(word, pair) != v:
+    # with equal counts every slot lies in out; a slot written twice leaves
+    # another empty, which the projection check below rejects
+    out = [None] * sum(counts)
+    for c, vs, count in zip(codes, own, counts):
+        gaps = [0] + [1] * count  # the j earlier a's of the j-th a
+        for v in vs:
+            gaps = list(map(operator.add, gaps, map(len, v.split(c))))
+        gaps.pop()  # the run after the last a
+        for slot in itertools.accumulate(gaps):
+            out[slot] = c
+    text = "".join(filter(None, out))
+    del out
+    drop = dict.fromkeys(range(m))  # str.translate deletes the codes mapped to None
+    for (i, j), v in views.items():
+        keep = drop.copy()
+        del keep[i], keep[j]
+        if text.translate(keep) != v:
             raise ReconstructionError(
-                f"the views are not the projections of one word: pair {pair} disagrees")
-    return word
+                "the views are not the projections of one word: "
+                f"pair {(letters[i], letters[j])} disagrees")
+    return tuple(map(letters.__getitem__, map(ord, text)))
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,

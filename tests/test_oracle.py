@@ -72,6 +72,17 @@ def test_count_rejects_negative_n():
         count_outputs(ChannelSystem(2, [[1, 2]]), -1)
 
 
+def test_sweep_and_pairs_check_reject_a_negative_length():
+    # a negative length used to give count_sweep an empty sweep, and a given
+    # count sent verify_pairs_equality looking for it forever
+    system = ChannelSystem(3, [[1, 2], [2, 3]])
+    for call in (lambda: list(count_sweep(system, -3)),
+                 lambda: verify_pairs_equality(system, -1, count=1)):
+        with pytest.raises(ValueError, match="block length must be >= 0, got -"):
+            call()
+    assert list(count_sweep(system, 0)) == []
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None])
 def test_counts_reject_a_non_integer_length(n):
     # 2.5 used to run forever: the count looked for length 2.5 among 0, 1, 2, ...
@@ -270,6 +281,17 @@ def test_engine_memory_stays_far_below_the_outputs():
     engine = _peak_bytes(lambda: count_outputs(system, 8))
     reference = _peak_bytes(lambda: reference_count(system, 8))
     assert engine <= reference / 100
+
+
+def test_reconstruct_memory_stays_near_the_views():
+    # one list of slots for the word, one running list of gaps per letter and
+    # one view's runs at a time: 10^5 letters over 6 peak at about 2.3 MB
+    rng = random.Random(6)
+    channel = frozenset(range(1, 7))
+    x = tuple(rng.choices(sorted(channel), k=100_000))
+    views = _views(x, channel)
+    peak = _peak_bytes(lambda: reconstruct_view(views, channel))
+    assert peak < 3_000_000
 
 
 def test_dominated_removal_count_invariance():
@@ -717,3 +739,65 @@ def test_reconstruct_round_trip_long_word():
     }
     assert len(views) == 28
     assert reconstruct_view(views, channel) == x
+
+
+def _views(x, channel):
+    return {frozenset(p): apply_channel(x, frozenset(p))
+            for p in itertools.combinations(sorted(channel), 2)}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(1, 4), max_size=16).map(tuple), st.data())
+def test_reconstruct_perturbed_views_are_rejected_or_reproduced(x, data):
+    # whatever the views, a returned word must project onto every one of them;
+    # a 2-letter channel has one view, always the projection of some word
+    channel = frozenset(data.draw(st.sets(st.integers(1, 4), min_size=3)))
+    views = _views(x, channel)
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from(sorted(views, key=sorted)))
+        view = list(views[key])
+        edit = data.draw(st.sampled_from(["delete", "insert", "swap", "foreign"]))
+        i = data.draw(st.integers(0, len(view)))
+        if edit == "delete" and view:
+            del view[min(i, len(view) - 1)]
+        elif edit == "insert":
+            view.insert(i, data.draw(st.sampled_from(sorted(key))))
+        elif edit == "swap":
+            # the first neighbours from i on that differ change places
+            turns = [k for k in range(len(view) - 1) if view[k] != view[k + 1]]
+            if turns:
+                k = next((k for k in turns if k >= i), turns[0])
+                view[k], view[k + 1] = view[k + 1], view[k]
+        elif edit == "foreign":
+            view.insert(i, data.draw(st.sampled_from([0, 5, -1, "1", 1.5])))
+        views[key] = tuple(view)
+    try:
+        word = reconstruct_view(views, channel)
+    except ReconstructionError:
+        return
+    assert _views(word, channel) == views
+
+
+def test_reconstruct_round_trip_letters_above_255():
+    rng = random.Random(256)
+    channel = frozenset({7, 255, 256, 1000, 70_000})
+    x = tuple(rng.choices(sorted(channel), k=500))
+    assert reconstruct_view(_views(x, channel), channel) == x
+
+
+def test_reconstruct_round_trip_channel_of_200_letters():
+    # ranks above 127 are codes outside ASCII
+    rng = random.Random(200)
+    channel = frozenset(range(1, 201))
+    x = tuple(rng.choices(sorted(channel), k=300)) + (200, 1, 128, 127)
+    assert reconstruct_view(_views(x, channel), channel) == x
+
+
+@pytest.mark.parametrize("symbol, shown", [([2], r"\[2\]"), ({3}, r"\{3\}"), (None, "None")])
+def test_reconstruct_names_an_unhashable_or_foreign_symbol(symbol, shown):
+    views = {frozenset({1, 2}): (1, symbol), frozenset({1, 3}): (1,),
+             frozenset({2, 3}): ()}
+    with pytest.raises(ReconstructionError,
+                       match=rf"view for pair \(1, 2\) contains foreign symbol {shown}$"):
+        reconstruct_view(views, frozenset({1, 2, 3}))
+
