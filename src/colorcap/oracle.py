@@ -35,10 +35,6 @@ class BudgetExceededError(RuntimeError):
             f"enumerating {q}^{n} words exceeds the budget of {limit} states; "
             f"raise the budget to force it")
 
-    @property
-    def states(self) -> int:
-        return self.q ** self.n
-
 
 class EnumerationReport(Record):
     def __init__(self, n: int, count: int, rate: float, elapsed: float):
@@ -191,10 +187,12 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     between consecutive a's.  The j-th a of the word (counting from 0) comes
     after j earlier a's and, for every other letter b, after the b's in the
     first j + 1 runs of view (a, b); it is placed straight into that slot.
-    The rebuilt word is returned only if every view equals its projection
-    onto that view's pair, one str.translate that deletes the other letters,
-    so inconsistent views raise ReconstructionError.  The cost is linear in
-    the total length of the views, plus one translate of the word per pair.
+    That slot is the number of occurrences the views put before it, its
+    score in the tournament the views define on all occurrences, and a
+    tournament is transitive exactly when its scores are distinct (Landau).
+    So the views are the projections of one word exactly when every slot is
+    filled once; an empty slot raises ReconstructionError.  The cost is
+    linear in the total length of the views.
     """
     letters = sorted(set(channel))
     m = len(letters)
@@ -204,7 +202,6 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     if len(normalized) != len(pair_views):
         raise ReconstructionError("duplicate pair keys in the views")
     codes = list(map(chr, range(m)))
-    views: dict[tuple[int, int], str] = {}
     own: list[list[str]] = [[] for _ in letters]  # the views of each letter
     for i, j in itertools.combinations(range(m), 2):
         pair = letters[i], letters[j]
@@ -222,7 +219,6 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
                         f"view for pair {pair} contains foreign symbol {s}") from None
             # every symbol equals a letter of the pair, though not by its hash
             coded = "".join(codes[i] if s in pair[:1] else codes[j] for s in view)
-        views[i, j] = coded
         own[i].append(coded)
         own[j].append(coded)
     if normalized:
@@ -237,8 +233,8 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
                 f"letter {a} occurs a different number of times across views")
         counts.append(found.pop())
 
-    # with equal counts every slot lies in out; a slot written twice leaves
-    # another empty, which the projection check below rejects
+    # with equal counts every slot lies in out; two occurrences with one
+    # score share a slot and leave another empty
     out = [None] * sum(counts)
     for c, vs, count in zip(codes, own, counts):
         gaps = [0] + [1] * count  # the j earlier a's of the j-th a
@@ -247,16 +243,11 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
         gaps.pop()  # the run after the last a
         for slot in itertools.accumulate(gaps):
             out[slot] = c
-    text = "".join(filter(None, out))
+    if None in out:
+        raise ReconstructionError("the views are not the projections of one word: "
+                                  "their orders of the letters form a cycle")
+    text = "".join(out)
     del out
-    drop = dict.fromkeys(range(m))  # str.translate deletes the codes mapped to None
-    for (i, j), v in views.items():
-        keep = drop.copy()
-        del keep[i], keep[j]
-        if text.translate(keep) != v:
-            raise ReconstructionError(
-                "the views are not the projections of one word: "
-                f"pair {(letters[i], letters[j])} disagrees")
     return tuple(map(letters.__getitem__, map(ord, text)))
 
 

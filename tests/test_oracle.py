@@ -96,7 +96,7 @@ def test_counts_reject_a_non_integer_length(n):
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError) as info:
         count_outputs(ChannelSystem(4, [[1, 2]]), 30, budget=10**6)
-    assert info.value.states == 4**30
+    assert (info.value.q, info.value.n) == (4, 30)
     assert info.value.limit == 10**6
 
 
@@ -727,6 +727,36 @@ def test_reconstruct_exhaustive_one_symbol_edits():
                             reconstruct_view(pair_views, channel)
                     cases += 1
     assert cases > 10_000
+
+
+def _arrangements(letters, counts):
+    """Every distinct word with counts[k] copies of letters[k]."""
+    return set(itertools.permutations(
+        [a for a, k in zip(letters, counts) for _ in range(k)]))
+
+
+@pytest.mark.parametrize("letters, most", [((1, 2, 3), 2), ((1, 2, 3, 4), 1)])
+def test_reconstruct_accepts_exactly_the_projections_of_a_word(letters, most):
+    # every family of pair views with equal counts per letter, against a map
+    # from each word's projections to the word
+    channel = frozenset(letters)
+    pairs = list(itertools.combinations(letters, 2))
+    families = accepted = 0
+    for counts in itertools.product(range(most + 1), repeat=len(letters)):
+        count = dict(zip(letters, counts))
+        source = {tuple(apply_channel(w, frozenset(p)) for p in pairs): w
+                  for w in _arrangements(letters, counts)}
+        for key in itertools.product(*(_arrangements(p, (count[p[0]], count[p[1]]))
+                                       for p in pairs)):
+            pair_views = {frozenset(p): v for p, v in zip(pairs, key)}
+            if key in source:
+                assert reconstruct_view(pair_views, channel) == source[key]
+                accepted += 1
+            else:
+                with pytest.raises(ReconstructionError):
+                    reconstruct_view(pair_views, channel)
+            families += 1
+    assert accepted < families
 
 
 def test_reconstruct_round_trip_long_word():
