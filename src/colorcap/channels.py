@@ -49,7 +49,14 @@ class ChannelSystem(Record):
     Channels are stored as frozensets; the constructor accepts any iterable
     of iterables of letters.  Order is significant (outputs are tuples
     indexed by channel), duplicates are allowed.
+
+    The slot _known holds this instance's structure results (its class and
+    maximum clique, see colorcap.systems), each computed on first use.  It
+    is not a field: equality, hashing, the repr and vars() never read it,
+    and a copy or an unpickled system starts with it empty.
     """
+
+    __slots__ = ("_known",)
 
     def __init__(self, q: int, channels: Iterable[Iterable[int]]):
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
@@ -66,6 +73,11 @@ class ChannelSystem(Record):
                 raise ValueError(
                     f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}")
         self.__dict__.update(q=q, channels=normalized)
+        object.__setattr__(self, "_known", {})
+
+    def __reduce__(self):
+        # rebuild through __init__: Record.__setattr__ refuses the slot state
+        return (type(self), (self.q, self.channels))
 
     @property
     def t(self) -> int:

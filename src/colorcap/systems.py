@@ -114,7 +114,15 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     """One maximum clique of the pairs graph (lexicographically least among
     the largest): Bron-Kerbosch with pivoting over the letter classes, run on
     an explicit stack and keeping only the best maximal clique found so far.
+    Searched once per system instance; later calls return the same set.
     """
+    known = system._known
+    if "max_clique" not in known:
+        known["max_clique"] = _max_clique(system)
+    return known["max_clique"]
+
+
+def _max_clique(system: ChannelSystem) -> frozenset[int]:
     members, adj = _class_graph(system)
     # a single letter is a clique of the graph on [q]; any two letters beat it
     best: tuple[int, list[int]] = (-1, [1])
@@ -209,7 +217,15 @@ def classify(system: ChannelSystem) -> SystemClass:
     Sunflower, Path and Cycle are read off how many channels hold each letter,
     and FullClique off the letter classes of the same map (no shape has a
     complete pairs graph); else General.  Channel order never matters.
+    Computed once per system instance; later calls return the same record.
     """
+    known = system._known
+    if "classify" not in known:
+        known["classify"] = _classify(system)
+    return known["classify"]
+
+
+def _classify(system: ChannelSystem) -> SystemClass:
     holders = _holders(system)
     reduced = _remove_dominated(system, holders)
     if reduced != system:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import colorcap
 import colorcap.cli
-from colorcap.cli import format_sig, main, parse_system_document
+import colorcap.systems
+from colorcap import ChannelSystem
+from colorcap.cli import format_sig, main, parse_system_document, system_dict
 
 PKG = "colorcap"
 
@@ -383,6 +385,38 @@ def test_repeated_key_exit_2(tmp_path):
 def test_unwritable_output_exit_2(tmp_path):
     out = tmp_path / "missing" / "result.json"
     _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
+
+
+CHORDED = {"q": 5, "channels": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]}
+# the channel [1] is dominated; what is left splits into a General and a path
+SPLIT = {"q": 9, "channels": CHORDED["channels"] + [[1], [6, 7], [7, 8], [8, 9]]}
+
+
+@pytest.mark.parametrize("flags, content", [
+    pytest.param(["capacity"], CHORDED, id="capacity"),
+    pytest.param(["capacity"], SPLIT, id="capacity-reducible"),
+    pytest.param(["bounds"], CHORDED, id="bounds"),
+    pytest.param(["bounds"], SPLIT, id="bounds-reducible"),
+    pytest.param(["enumerate", "--n", "3", "--verify-pairs"], CHORDED,
+                 id="enumerate-verify-pairs"),
+    pytest.param(["table", "--which", "q3"], None, id="table-q3"),
+    pytest.param(["table", "--which", "q4"], None, id="table-q4"),
+])
+def test_each_command_classifies_a_system_once(tmp_path, monkeypatch, flags, content):
+    # the class field and the dispatch read one memo per system instance
+    calls, worker = [], colorcap.systems._classify
+    monkeypatch.setattr(colorcap.systems, "_classify",
+                        lambda system: calls.append(system) or worker(system))
+    if content is not None:
+        src = tmp_path / "system.json"
+        src.write_text(json.dumps(content))
+        flags = [*flags, "--input", str(src)]
+    code, stdout, stderr = _main(flags)
+    assert code == 0, stderr
+    given = [content] if content else [row["system"] for row in json.loads(stdout)["rows"]]
+    classified = [system_dict(system) for system in calls]
+    assert all(system_dict(ChannelSystem(**d)) in classified for d in given)
+    assert len({id(s) for s in calls}) == len(calls)  # no instance twice
 
 
 def test_main_calls_in_one_process_carry_no_state(tmp_path, monkeypatch):

@@ -5,6 +5,9 @@ fields in constructor order, equality by type and fields, and the repr a
 frozen dataclass would print.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from colorcap import (
@@ -21,6 +24,8 @@ from colorcap import (
     Sunflower,
     SystemClass,
     TwoSets,
+    classify,
+    max_clique,
 )
 
 PAIR = ChannelSystem(3, [[1, 2]])
@@ -125,3 +130,26 @@ def test_capacity_result_defaults():
     result = CapacityResult("exact", "m", value=0.5)
     assert (result.lower, result.upper, result.witness) == (None, None, {})
     assert CapacityResult("exact", "m", value=0.5).witness is not result.witness
+
+
+def _copies(record):
+    yield copy.copy(record)
+    yield copy.deepcopy(record)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(record, protocol))
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+def test_copy_and_pickle_give_equal_records(cls, names, values, text):
+    record = cls(*values)
+    if cls is ChannelSystem:  # fill the memo before copying
+        classify(record)
+        max_clique(record)
+        assert set(record._known) == {"classify", "max_clique"}
+    for duplicate in _copies(record):
+        assert type(duplicate) is cls
+        assert duplicate == record
+        assert vars(duplicate) == vars(record)
+        if cls is ChannelSystem:
+            assert duplicate._known == {}  # a copy computes its own results
+            assert classify(duplicate) == classify(record)

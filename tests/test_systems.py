@@ -22,6 +22,7 @@ from colorcap import (
     SingleChannel,
     Sunflower,
     TwoSets,
+    bounds,
     bounds_general,
     capacity,
     classify,
@@ -362,6 +363,7 @@ def test_shapes_are_read_off_the_channel_sets(monkeypatch, method):
     # the letter classes are the only way into the pairs graph
     monkeypatch.setattr(colorcap.systems, "_letter_classes", _refuse_letter_classes)
     system, expected = SHAPES[method]
+    system = ChannelSystem(system.q, system.channels)  # an empty memo
     assert classify(system) == expected
     assert capacity(system).method == method
 
@@ -425,6 +427,71 @@ def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
     system = ChannelSystem(5, [[1, 2, 3], [3, 4], [4, 5], [5, 1]])
     check(system)
     assert builds.count(system) == 2
+
+
+def _spy(monkeypatch, name):
+    """Record each system the named private worker of colorcap.systems runs on."""
+    calls, worker = [], getattr(colorcap.systems, name)
+    monkeypatch.setattr(colorcap.systems, name,
+                        lambda system: calls.append(system) or worker(system))
+    return calls
+
+
+def _same_instances(calls, expected):
+    return len(calls) == len(expected) and all(a is b for a, b in zip(calls, expected))
+
+
+# a 5-cycle with one chord: General, with a clique of three
+CHORDED = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]
+
+
+def test_classify_and_clique_run_once_per_instance(monkeypatch):
+    classified = _spy(monkeypatch, "_classify")
+    searched = _spy(monkeypatch, "_max_clique")
+    # General
+    system = ChannelSystem(5, CHORDED)
+    for _ in range(2):
+        assert classify(system) == General()
+        capacity(system)
+        bounds(system)
+    assert _same_instances(classified, [system])
+    assert _same_instances(searched, [system])
+    # Reducible (the channel [1] is dominated) over a Separable of two Generals
+    classified.clear()
+    searched.clear()
+    system = ChannelSystem(10, CHORDED + [[a + 5 for a in ch] for ch in CHORDED] + [[1]])
+    cls = classify(system)
+    capacity(system)
+    bounds(system)
+    assert isinstance(cls, Reducible)
+    split = classify(cls.reduced)
+    assert isinstance(split, Separable) and len(split.components) == 2
+    assert _same_instances(classified, [system, cls.reduced, *split.components])
+    assert _same_instances(searched, split.components)
+
+
+def test_equal_systems_compute_their_own_results(monkeypatch):
+    classified = _spy(monkeypatch, "_classify")
+    searched = _spy(monkeypatch, "_max_clique")
+    a, b = ChannelSystem(5, CHORDED), ChannelSystem(5, CHORDED)
+    assert a == b and a is not b
+    assert classify(a) == classify(b) == General()
+    assert max_clique(a) == max_clique(b) == frozenset({1, 2, 3})
+    assert _same_instances(classified, [a, b])
+    assert _same_instances(searched, [a, b])
+
+
+def test_memo_is_invisible_to_the_record():
+    system = ChannelSystem(5, CHORDED)
+    before = (dict(vars(system)), hash(system), repr(system))
+    classify(system)
+    bounds(system)
+    assert system._known  # filled
+    assert (vars(system), hash(system), repr(system)) == before
+    assert list(vars(system)) == ["q", "channels"]
+    fresh = ChannelSystem(5, CHORDED)
+    assert system == fresh and fresh == system
+    assert len({system, fresh}) == 1
 
 
 @st.composite
