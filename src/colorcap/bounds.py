@@ -24,18 +24,14 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     """Clique-number sandwich log_q(omega) <= ccap <= log_q(omega * t * e).
 
     Requires an irreducible system with at least two channels.  The upper
-    end is clamped to 1, the trivial cap for any system.
+    end is clamped to 1, the trivial cap for any system.  This is also the
+    General leaf of bounds() and capacity().
     """
     if system.t < 2:
         raise ValueError("general bounds need at least two channels")
     if isinstance(classify(system), (Reducible, Separable)):
         raise ValueError("general bounds expect an irreducible system; "
                          "reduce and split it first")
-    return _clique_sandwich(system)
-
-
-def _clique_sandwich(system: ChannelSystem) -> CapacityResult:
-    """bounds_general without its checks, for a leaf _dispatch has reduced and split."""
     clique = max_clique(system)
     omega = len(clique)
     lower = _logq(omega, system.q)
@@ -73,7 +69,7 @@ def _bound_leaf(core: ChannelSystem, cls: SystemClass) -> CapacityResult:
                               witness={"q": core.q})
     if isinstance(cls, Cycle):
         return bounds_cycle(cls.t, core.q)
-    return _clique_sandwich(core)
+    return bounds_general(core)
 
 
 def bounds(system: ChannelSystem) -> CapacityResult:

@@ -143,12 +143,16 @@ def _reports(system: ChannelSystem, lengths: Iterable[int], budget: int | None,
                                 elapsed=time.perf_counter() - start)
 
 
-def _check_length(n) -> None:
-    # _reports looks for n among the lengths 0, 1, 2, ..., which never end
+def _check_args(n, budget) -> None:
+    # _reports looks for n among the lengths 0, 1, 2, ..., which never end,
+    # and reads the budget's bit_length
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"block length must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
+    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool)
+                               or budget < 0):
+        raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
 
 
 def count_outputs(system: ChannelSystem, n: int, *,
@@ -158,7 +162,7 @@ def count_outputs(system: ChannelSystem, n: int, *,
     Raises BudgetExceededError when q^n exceeds the budget (default
     DEFAULT_BUDGET states).
     """
-    _check_length(n)
+    _check_args(n, budget)
     return next(_reports(system, [n], budget, _outputs(system)))
 
 
@@ -169,7 +173,7 @@ def count_sweep(system: ChannelSystem, n: int, *,
     Each report's elapsed is the time since the sweep began.  Raises
     BudgetExceededError at the first length whose q^n exceeds the budget.
     """
-    _check_length(n)
+    _check_args(n, budget)
     return _reports(system, range(1, n + 1), budget, _outputs(system))
 
 
@@ -252,23 +256,21 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
-                          budget: int | None = None,
-                          count: int | None = None) -> bool:
+                          budget: int | None = None) -> bool:
     """Whether the system and its pairs-graph edge system have equal counts.
 
     For an irreducible system with t >= 2 channels the two counts agree for
-    every n.  The system's count comes from count_outputs, or from the
-    caller as count; the edge system is counted exhaustively (_levels), so
-    the check does not rest on the trace counting it tests.
+    every n.  It counts both systems itself: the system with count_outputs,
+    then the edge system exhaustively (_levels), so the check does not rest
+    on the trace counting it tests.
     """
-    _check_length(n)
+    _check_args(n, budget)
     if system.t < 2:
         raise ValueError("pairs equality needs at least two channels")
     if isinstance(classify(system), (Reducible, Separable)):
         raise ValueError("pairs equality expects an irreducible system; "
                          "reduce and split it first")
     edges = edge_system(system)
-    if count is None:
-        count = count_outputs(system, n, budget=budget).count
+    count = count_outputs(system, n, budget=budget).count
     exhaustive = _reports(edges, [n], budget, map(len, _levels(edges)))
     return count == next(exhaustive).count

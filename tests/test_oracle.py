@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -77,7 +78,7 @@ def test_sweep_and_pairs_check_reject_a_negative_length():
     # count sent verify_pairs_equality looking for it forever
     system = ChannelSystem(3, [[1, 2], [2, 3]])
     for call in (lambda: list(count_sweep(system, -3)),
-                 lambda: verify_pairs_equality(system, -1, count=1)):
+                 lambda: verify_pairs_equality(system, -1)):
         with pytest.raises(ValueError, match="block length must be >= 0, got -"):
             call()
     assert list(count_sweep(system, 0)) == []
@@ -88,8 +89,20 @@ def test_counts_reject_a_non_integer_length(n):
     # 2.5 used to run forever: the count looked for length 2.5 among 0, 1, 2, ...
     system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
     for call in (lambda: count_outputs(system, n), lambda: count_sweep(system, n),
-                 lambda: verify_pairs_equality(system, n, count=1)):
+                 lambda: verify_pairs_equality(system, n)):
         with pytest.raises(ValueError, match="block length must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("budget", [1e9, "100", -5, True])
+def test_counts_reject_a_bad_budget(budget):
+    # 1e9 and "100" used to fail on budget.bit_length(), -5 refused even 4^0
+    # words, and True stood for a budget of one state
+    system = ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
+    for call in (lambda: count_outputs(system, 0, budget=budget),
+                 lambda: count_sweep(system, 3, budget=budget),  # raises before iterating
+                 lambda: verify_pairs_equality(system, 0, budget=budget)):
+        with pytest.raises(ValueError, match="budget must be None or an integer >= 0"):
             call()
 
 
@@ -361,11 +374,13 @@ def test_pairs_equality_rejects_reducible():
         verify_pairs_equality(ChannelSystem(4, [[1, 2], [3, 4]]), 3)
 
 
-def test_pairs_equality_reads_a_given_count():
+def test_pairs_equality_reports_unequal_counts(monkeypatch):
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
-    right = count_outputs(system, 5).count
-    assert verify_pairs_equality(system, 5, count=right)
-    assert not verify_pairs_equality(system, 5, count=right + 1)
+    assert verify_pairs_equality(system, 5)
+    real = oracle.count_outputs
+    monkeypatch.setattr(oracle, "count_outputs", lambda *args, **kwargs:
+                        types.SimpleNamespace(count=real(*args, **kwargs).count + 1))
+    assert not verify_pairs_equality(system, 5)
 
 
 def _enumerate(argv, system):
@@ -398,8 +413,9 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     monkeypatch.setattr(oracle, "_levels", spy(oracle._levels, "exhaustive"))
     code, out, _ = _enumerate(["--n", "6", "--verify-pairs", *sweep], system)
     assert code == 0 and json.loads(out)["pairs_equal"] is True
-    # the system once by the engine, then its 5-edge system exhaustively
-    assert counted == [("engine", 2), ("exhaustive", 5)]
+    # the system by the engine for the report and again for the check, then
+    # its 5-edge system exhaustively, once
+    assert counted == [("engine", 2), ("engine", 2), ("exhaustive", 5)]
 
 
 def test_verify_pairs_with_a_letter_in_no_channel():
@@ -830,4 +846,16 @@ def test_reconstruct_names_an_unhashable_or_foreign_symbol(symbol, shown):
     with pytest.raises(ReconstructionError,
                        match=rf"view for pair \(1, 2\) contains foreign symbol {shown}$"):
         reconstruct_view(views, frozenset({1, 2, 3}))
+
+
+def test_reconstruct_codes_a_symbol_equal_to_a_letter_but_unhashable():
+    class One:
+        __hash__ = None
+
+        def __eq__(self, other):
+            return other == 1
+
+    views = {frozenset({1, 2}): (One(), 2, 2, One()), frozenset({1, 3}): (1, 3, 1),
+             frozenset({2, 3}): (2, 3, 2)}
+    assert reconstruct_view(views, frozenset({1, 2, 3})) == (1, 2, 3, 2, 1)
 
