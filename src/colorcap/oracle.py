@@ -9,7 +9,10 @@ exactly when they are one trace of the trace monoid whose dependence graph
 is the pairs graph.  count_outputs therefore counts traces through their
 lexicographically least words (Anisimov-Knuth), which a small automaton
 recognizes.  The exhaustive counter _levels, which stores every distinct
-output, checks that lemma through verify_pairs_equality.
+output, checks that lemma through verify_pairs_equality.  It keys an output
+by its views, each ended by a separator of its own channel, so appending a
+letter to the views that hold it is one bytes.replace per channel, mapped
+over chunks of keys in C.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .channels import ChannelSystem, Record
 from .systems import Reducible, Separable, _class_graph, _holders, classify, edge_system
 
 DEFAULT_BUDGET = 200_000_000
+_CHUNK = 1024  # keys _levels extends per batch of C-level replaces
 
 
 class BudgetExceededError(RuntimeError):
@@ -91,35 +95,57 @@ def _outputs(system: ChannelSystem) -> Iterator[int]:
     return itertools.accumulate(_traces(system))
 
 
+def _codes(m: int) -> list[bytes]:
+    """m distinct codes of one fixed width, each of nonzero bytes."""
+    width = next(w for w in itertools.count(1) if 255 ** w >= m)
+    return [bytes(i // 255 ** d % 255 + 1 for d in range(width)) for i in range(m)]
+
+
 def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
     """The sets of distinct output keys at lengths 0, 1, 2, ..., by brute force.
 
-    A key joins the channel views with a 0 byte; each visible letter is a
-    fixed-width code of nonzero bytes.  A word followed by a letter a gives
-    its output with a appended to every view whose channel holds a.  Building
-    the next level clears the last one and frees its keys as it reads them,
-    so read each level before asking for the next.
+    A key is the channel views in order, each followed by a separator that
+    belongs to its channel alone, and no letter's code holds a separator
+    byte.  When the t separators and the visible letters fit in 256 byte
+    values, separator j is byte j and the i-th visible letter is byte t + i;
+    otherwise a separator is a 0 byte and a fixed-width index, and a letter
+    is a fixed-width code of nonzero bytes.  A word followed by a letter a
+    gives its output with a appended to every view whose channel holds a, so
+    the key extends by one bytes.replace(sep_j, code_a + sep_j) per such
+    channel j, each matching exactly once.  The next level is built from the
+    keys of the last in chunks of _CHUNK, every letter's replaces mapped over
+    a chunk in C, and the last level is cleared and its keys freed as the
+    chunks are taken, so read each level before asking for the next.
     """
     holders = _holders(system)
     visible = sorted(holders)
-    width = next(w for w in itertools.count(1) if 255 ** w >= len(visible))
-    steps = [(bytes(i // 255 ** d % 255 + 1 for d in range(width)), holders[a])
-             for i, a in enumerate(visible)]
+    t = system.t
+    if t + len(visible) <= 256:
+        seps = [bytes([j]) for j in range(t)]
+        codes = [bytes([t + i]) for i in range(len(visible))]
+    else:
+        seps = [b"\0" + code for code in _codes(t)]
+        codes = _codes(len(visible))
+    # per letter, the (separator, code + separator) swap of each of its channels
+    steps = [[(seps[j], code + seps[j]) for j in holders[a]]
+             for code, a in zip(codes, visible)]
     if len(visible) < system.q:
-        steps.append((b"", []))  # a letter in no channel changes nothing
-    level = {b"\0" * (system.t - 1)}
+        steps.append([])  # a letter in no channel changes nothing
+    level = {b"".join(seps)}
     while True:
         yield level
         extended = set()
         keys = list(level)
         level.clear()
         while keys:
-            views = keys.pop().split(b"\0")
-            for code, idx in steps:
-                out = views.copy()
-                for j in idx:
-                    out[j] += code
-                extended.add(b"\0".join(out))
+            chunk = keys[-_CHUNK:]
+            del keys[-_CHUNK:]
+            for swaps in steps:
+                out = chunk
+                for sep, longer in swaps:
+                    out = map(bytes.replace, out, itertools.repeat(sep),
+                              itertools.repeat(longer))
+                extended.update(out)
         level = extended
 
 

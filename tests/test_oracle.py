@@ -120,7 +120,8 @@ def test_budget_refusal_at_huge_n_skips_the_power():
 
 
 def test_tuple_keys_above_255_letters():
-    # letters in no channel are interchangeable, so only the visible ones matter
+    # letters in no channel are interchangeable, so only the visible ones
+    # matter: the engine counts the 297 hidden letters of q = 300 as one
     wide = ChannelSystem(300, [[1, 2], [2, 300]])
     narrow = ChannelSystem(4, [[1, 2], [2, 3]])
     for n in range(3):
@@ -178,14 +179,39 @@ def test_count_matches_reference_on_every_small_system():
 
 
 def test_count_over_multibyte_letter_codes():
-    # 300 visible letters: each takes a two-byte code in the keys
+    # 300 visible letters, more than a byte can number: the reference keys
+    # its outputs by tuples, the engine by letter classes
     system = ChannelSystem(300, [range(1, 281), range(200, 301)])
     for n in range(3):
         assert count_outputs(system, n).count == reference_count(system, n)
-    # 66,000 visible letters need three-byte codes; distinct codes give
-    # every letter its own output
+    # 66,000 visible letters: every letter still gives its own output
     wide = ChannelSystem(66_000, [range(1, 66_001), range(60_000, 66_001)])
     assert count_outputs(wide, 1).count == 66_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_cases())
+def test_exhaustive_levels_match_word_by_word_reference(case):
+    system, n = case
+    sizes = [len(level) for _, level in zip(range(n + 1), oracle._levels(system))]
+    assert sizes == [reference_count(system, i) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("system", [
+    # 1 separator + 255 letters = 256 byte values: one byte for each
+    ChannelSystem(255, [range(1, 256)]),
+    # one letter more: separators of a 0 byte and an index, letter codes of two bytes
+    ChannelSystem(256, [range(1, 257)]),
+    ChannelSystem(300, [range(1, 281), range(200, 301)]),
+    # 256 channels need two-byte separator indices too
+    ChannelSystem(257, [[i, i + 1] for i in range(1, 257)]),
+], ids=["one-byte-255", "wide-256", "wide-300", "path-256-channels"])
+def test_exhaustive_levels_over_wide_alphabets_and_many_channels(system):
+    sizes = [len(level) for _, level in zip(range(3), oracle._levels(system))]
+    assert sizes == [count_outputs(system, n).count for n in range(3)]
+    if system.t == 256:
+        # two letters lose their order only when they share no channel
+        assert sizes[2] == 257**2 - (math.comb(257, 2) - 256) == 33_409
 
 
 def test_count_sweep_matches_count_outputs():
@@ -282,6 +308,19 @@ def test_count_memory_stays_near_one_level():
     # each level is emptied while the next is built, so the peak stays near
     # the largest level, which the word-by-word reference also holds
     system = ChannelSystem(4, [[1, 2, 3, 4]])
+    exhaustive = _peak_bytes(lambda: _exhaustive_count(system, 8))
+    reference = _peak_bytes(lambda: reference_count(system, 8))
+    assert exhaustive <= 1.1 * reference
+
+
+@pytest.mark.parametrize("channels", [
+    [[1, 2], [2, 3], [3, 4], [4, 1]],
+    [[1, 2], [1, 3], [1, 4]],
+], ids=["cycle4", "star3"])
+def test_exhaustive_memory_with_many_channels_stays_near_the_reference(channels):
+    # every channel ends its view with a separator, one byte more per key
+    # than the reference's; on these short keys that costs 3-6% of the peak
+    system = edge_system(ChannelSystem(4, channels))
     exhaustive = _peak_bytes(lambda: _exhaustive_count(system, 8))
     reference = _peak_bytes(lambda: reference_count(system, 8))
     assert exhaustive <= 1.1 * reference
