@@ -15,23 +15,18 @@ import math
 from .capacity import CapacityResult, _dispatch, _logq, capacity_path, capacity_single
 from .channels import ChannelSystem
 from .systems import (
-    Cycle, FullClique, Reducible, Separable, SingleChannel, SystemClass, classify,
-    max_clique,
+    Cycle, FullClique, SingleChannel, SystemClass, _require_irreducible, max_clique,
 )
 
 
 def bounds_general(system: ChannelSystem) -> CapacityResult:
     """Clique-number sandwich log_q(omega) <= ccap <= log_q(omega * t * e).
 
-    Requires an irreducible system with at least two channels.  The upper
-    end is clamped to 1, the trivial cap for any system.  This is also the
-    General leaf of bounds() and capacity().
+    Requires an irreducible system with t >= 2, by the guard it shares with
+    verify_pairs_equality.  The upper end is clamped to 1, the trivial cap for
+    any system.  This is also the General leaf of bounds() and capacity().
     """
-    if system.t < 2:
-        raise ValueError("general bounds need at least two channels")
-    if isinstance(classify(system), (Reducible, Separable)):
-        raise ValueError("general bounds expect an irreducible system; "
-                         "reduce and split it first")
+    _require_irreducible(system, "clique sandwich")
     clique = max_clique(system)
     omega = len(clique)
     lower = _logq(omega, system.q)

@@ -308,6 +308,9 @@ COMMANDS = {
     "table": cmd_table,
 }
 
+# main's exit code for each refusal; a subclass takes its nearest base's code
+EXIT_CODES = {SchemaError: 2, BudgetExceededError: 3, ReconstructionError: 4}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -319,20 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="colorcap",
         description="capacities, bounds, and exhaustive checks for systems "
                     "of coloring channels")
-    io_parent = argparse.ArgumentParser(add_help=False)
-    io_parent.add_argument("--input", default="-", metavar="FILE",
+    in_parent = argparse.ArgumentParser(add_help=False)
+    in_parent.add_argument("--input", default="-", metavar="FILE",
                            help="system document (JSON); '-' reads stdin")
-    io_parent.add_argument("--output", default="-", metavar="FILE",
-                           help="result document (JSON); '-' writes stdout")
+    out_parent = argparse.ArgumentParser(add_help=False)
+    out_parent.add_argument("--output", default="-", metavar="FILE",
+                            help="result document (JSON); '-' writes stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classify", parents=[io_parent],
+    sub.add_parser("classify", parents=[in_parent, out_parent],
                    help="structural class of the system")
-    sub.add_parser("capacity", parents=[io_parent],
+    sub.add_parser("capacity", parents=[in_parent, out_parent],
                    help="capacity, exact where a formula applies")
-    sub.add_parser("bounds", parents=[io_parent],
+    sub.add_parser("bounds", parents=[in_parent, out_parent],
                    help="clique sandwich, ignoring exact formulas")
-    enum = sub.add_parser("enumerate", parents=[io_parent],
+    enum = sub.add_parser("enumerate", parents=[in_parent, out_parent],
                           help="exact output counting over trace normal forms")
     enum.add_argument("--n", type=int, required=True, metavar="N",
                       help="block length")
@@ -344,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--budget", type=int, default=None, metavar="STATES",
                       help=f"max q^n states to enumerate (default "
                            f"{DEFAULT_BUDGET}; overrides ${ENV_BUDGET})")
-    rec = sub.add_parser("reconstruct", parents=[io_parent],
+    rec = sub.add_parser("reconstruct", parents=[in_parent, out_parent],
                          help="rebuild one channel's view from pairwise views")
     rec.add_argument("--channel", type=int, required=True, metavar="IDX",
                      help="1-based channel index")
     rec.add_argument("--views", required=True, metavar="FILE",
                      help='JSON file: {"views": [{"pair": [a,b], "word": [...]}]}')
-    tab = sub.add_parser("table", parents=[io_parent],
-                         help="built-in capacity catalog (input is ignored)")
+    tab = sub.add_parser("table", parents=[out_parent],
+                         help="built-in capacity catalog (reads no input)")
     tab.add_argument("--which", required=True, choices=sorted(TABLE_SYSTEMS),
                      help="catalog to print")
     return parser
@@ -373,13 +377,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         write_json(COMMANDS[args.command](args), args.output)
-    except SchemaError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ReconstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(EXIT_CODES[k] for k in type(exc).__mro__ if k in EXIT_CODES)
     return 0

@@ -24,7 +24,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 
 from .channels import ChannelSystem, Record
-from .systems import Reducible, Separable, _class_graph, _holders, classify, edge_system
+from .systems import _class_graph, _holders, _require_irreducible, edge_system
 
 DEFAULT_BUDGET = 200_000_000
 _CHUNK = 1024  # keys _levels extends per batch of C-level replaces
@@ -286,16 +286,13 @@ def verify_pairs_equality(system: ChannelSystem, n: int, *,
     """Whether the system and its pairs-graph edge system have equal counts.
 
     For an irreducible system with t >= 2 channels the two counts agree for
-    every n.  It counts both systems itself: the system with count_outputs,
-    then the edge system exhaustively (_levels), so the check does not rest
-    on the trace counting it tests.
+    every n; others fail the guard shared with bounds_general.  It counts both
+    systems itself: the system with count_outputs, then the edge system
+    exhaustively (_levels), so the check does not rest on the trace counting
+    it tests.
     """
     _check_args(n, budget)
-    if system.t < 2:
-        raise ValueError("pairs equality needs at least two channels")
-    if isinstance(classify(system), (Reducible, Separable)):
-        raise ValueError("pairs equality expects an irreducible system; "
-                         "reduce and split it first")
+    _require_irreducible(system, "pairs equality")
     edges = edge_system(system)
     count = count_outputs(system, n, budget=budget).count
     exhaustive = _reports(edges, [n], budget, map(len, _levels(edges)))

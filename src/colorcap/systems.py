@@ -225,6 +225,15 @@ def classify(system: ChannelSystem) -> SystemClass:
     return known["classify"]
 
 
+def _require_irreducible(system: ChannelSystem, what: str) -> None:
+    """Refuse a system that bounds_general and verify_pairs_equality cannot take."""
+    if system.t < 2:
+        raise ValueError(f"{what} needs at least two channels")
+    if isinstance(classify(system), (Reducible, Separable)):
+        raise ValueError(f"{what} expects an irreducible system; "
+                         "reduce and split it first")
+
+
 def _classify(system: ChannelSystem) -> SystemClass:
     holders = _holders(system)
     reduced = _remove_dominated(system, holders)

@@ -14,7 +14,10 @@ import colorcap
 import colorcap.cli
 import colorcap.systems
 from colorcap import ChannelSystem
-from colorcap.cli import format_sig, main, parse_system_document, system_dict
+from colorcap.cli import (
+    COMMANDS, SchemaError, format_sig, main, parse_system_document, system_dict,
+)
+from colorcap.oracle import BudgetExceededError, ReconstructionError
 
 PKG = "colorcap"
 
@@ -323,6 +326,7 @@ PATH2 = {"q": 3, "channels": [[1, 2], [2, 3]]}
     pytest.param(["enumerate", "--n", "abc"], PATH2, 2, id="n-not-an-int"),
     pytest.param(["classify", "--workers", "2"], PATH2, 2, id="removed-workers-flag"),
     pytest.param([], PATH2, 2, id="no-command"),
+    pytest.param(["table", "--which", "q3"], PATH2, 2, id="table-reads-no-input"),
     pytest.param(["enumerate", "--n", "100000"], PATH2, 3, id="huge-n"),
     pytest.param(["enumerate", "--n", "100000", "--verify-pairs"], PATH2, 3,
                  id="huge-n-verify-pairs"),
@@ -385,6 +389,60 @@ def test_repeated_key_exit_2(tmp_path):
 def test_unwritable_output_exit_2(tmp_path):
     out = tmp_path / "missing" / "result.json"
     _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
+
+
+@pytest.mark.parametrize("refusal, given, code", [
+    (SchemaError, ("refused",), 2), (BudgetExceededError, (4, 9, 10), 3),
+    (ReconstructionError, ("refused",), 4),
+])
+def test_a_refusal_subclass_exits_with_its_base_code(monkeypatch, refusal, given, code):
+    exc = type("Narrower", (refusal,), {})(*given)
+
+    def refuse(args):
+        raise exc
+    monkeypatch.setitem(COMMANDS, "table", refuse)
+    assert _main(["table", "--which", "q3"]) == (code, "", f"error: {exc}\n")
+
+
+ONE_CHANNEL = {"q": 3, "channels": [[1, 2, 3]]}
+
+
+@pytest.mark.parametrize("system, views, stem", [
+    pytest.param({"q": 3}, None, 'missing field "channels"', id="no-channels"),
+    pytest.param({"q": 3, "channels": []}, None, '"channels" must be a non-empty list',
+                 id="empty-channels"),
+    pytest.param({"q": 3, "channels": {"1": [1]}}, None,
+                 '"channels" must be a non-empty list', id="channels-not-a-list"),
+    pytest.param(ONE_CHANNEL, [], 'views document must be an object with a "views" list',
+                 id="views-not-an-object"),
+    pytest.param(ONE_CHANNEL, {}, 'views document must be an object with a "views" list',
+                 id="no-views"),
+    pytest.param(ONE_CHANNEL, {"views": {}}, '"views" must be a list',
+                 id="views-not-a-list"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 2]}]},
+                 'views[0] must be an object with "pair" and "word"', id="entry-no-word"),
+    pytest.param(ONE_CHANNEL, {"views": [{"word": [1, 2]}]},
+                 'views[0] must be an object with "pair" and "word"', id="entry-no-pair"),
+    pytest.param(ONE_CHANNEL, {"views": [[1, 2]]},
+                 'views[0] must be an object with "pair" and "word"',
+                 id="entry-not-an-object"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 2], "word": "12"}]},
+                 "views[0].word must be a list of integers", id="word-not-a-list"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 2], "word": [1, True]}]},
+                 "views[0].word must be a list of integers", id="word-holds-a-bool"),
+])
+def test_document_shape_refusals(tmp_path, system, views, stem):
+    src, views_file = tmp_path / "system.json", tmp_path / "views.json"
+    src.write_text(json.dumps(system))
+    if views is None:
+        argv = ["classify", "--input", str(src)]
+    else:
+        views_file.write_text(json.dumps(views))
+        argv = ["reconstruct", "--input", str(src), "--channel", "1",
+                "--views", str(views_file)]
+    code, stdout, stderr = _main(argv)
+    _assert_rejected(code, stdout, stderr, 2)
+    assert stderr.startswith(f"error: {stem}"), stderr
 
 
 CHORDED = {"q": 5, "channels": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]}
@@ -502,7 +560,8 @@ def _invocations(draw):
     """(argv with {dir} for the scratch directory, input bytes, views bytes)."""
     command = draw(st.sampled_from(["classify", "capacity", "bounds", "enumerate",
                                     "reconstruct", "table"]))
-    argv = [command, "--input", "{dir}/system.json"]
+    # table reads no input and refuses --input
+    argv = [command] if command == "table" else [command, "--input", "{dir}/system.json"]
     if draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(["{dir}/out.json", "{dir}/no/out.json"]))]
     if command == "enumerate":

@@ -119,7 +119,7 @@ def test_budget_refusal_at_huge_n_skips_the_power():
         count_outputs(ChannelSystem(3, [[1, 2]]), 10**12)
 
 
-def test_tuple_keys_above_255_letters():
+def test_297_hidden_letters_of_q300_count_as_one():
     # letters in no channel are interchangeable, so only the visible ones
     # matter: the engine counts the 297 hidden letters of q = 300 as one
     wide = ChannelSystem(300, [[1, 2], [2, 300]])

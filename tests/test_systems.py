@@ -429,6 +429,19 @@ def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
     assert builds.count(system) == 2
 
 
+@pytest.mark.parametrize("check, what", [
+    (bounds_general, "clique sandwich"),
+    (lambda system: verify_pairs_equality(system, 3), "pairs equality"),
+], ids=["bounds_general", "verify_pairs_equality"])
+def test_irreducibility_guards_share_one_text(check, what):
+    split = f"{what} expects an irreducible system; reduce and split it first"
+    for channels, text in (([[1, 2, 3]], f"{what} needs at least two channels"),
+                           ([[1], [1, 2]], split), ([[1, 2], [3, 4]], split)):
+        with pytest.raises(ValueError) as info:
+            check(ChannelSystem(4, channels))
+        assert str(info.value) == text
+
+
 def _spy(monkeypatch, name):
     """Record each system the named private worker of colorcap.systems runs on."""
     calls, worker = [], getattr(colorcap.systems, name)
