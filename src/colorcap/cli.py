@@ -25,8 +25,6 @@ from .oracle import (
 )
 from .systems import SystemClass, TwoSets, classify
 
-ENV_BUDGET = "COLORCAP_BUDGET"
-
 
 class SchemaError(ValueError):
     """The input document does not match the expected shape."""
@@ -184,25 +182,6 @@ def _load_system(args) -> tuple[ChannelSystem, dict]:
     return parse_system_document(read_json(args.input))
 
 
-def _at_least(flag: str, value: int, least: int) -> int:
-    if value < least:
-        raise SchemaError(f"{flag} must be >= {least}, got {value}")
-    return value
-
-
-def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return _at_least("--budget", args.budget, 0)
-    env = os.environ.get(ENV_BUDGET)
-    if env is None:
-        return None
-    try:
-        budget = int(env)
-    except ValueError:
-        raise SchemaError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
-    return _at_least(ENV_BUDGET, budget, 0)
-
-
 def cmd_classify(args) -> dict:
     system, echo = _load_system(args)
     return {"input": echo, "class": class_dict(classify(system))}
@@ -222,25 +201,28 @@ def cmd_bounds(args) -> dict:
 
 def cmd_enumerate(args) -> dict:
     system, echo = _load_system(args)
-    _at_least("--n", args.n, 1 if args.sweep else 0)
-    budget = _resolve_budget(args)
+    if args.sweep and args.n < 1:
+        raise SchemaError(f"--n must be >= 1, got {args.n}")
     doc = {"input": echo, "class": class_dict(classify(system))}
     reports = []
-    if args.sweep:
-        try:
-            for report in count_sweep(system, args.n, budget=budget):
-                reports.append(report)
-        except BudgetExceededError:
-            doc["truncated"] = True
-    else:
-        reports.append(count_outputs(system, args.n, budget=budget))
+    try:  # the library refuses a negative --n or --budget with ValueError
+        if args.sweep:
+            try:
+                for report in count_sweep(system, args.n, budget=args.budget):
+                    reports.append(report)
+            except BudgetExceededError:
+                doc["truncated"] = True
+        else:
+            reports.append(count_outputs(system, args.n, budget=args.budget))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     doc["enumeration"] = [
         {"n": r.n, "count": str(r.count), "rate": r.rate, "elapsed": r.elapsed}
         for r in reports
     ]
     if args.verify_pairs:
         try:
-            doc["pairs_equal"] = verify_pairs_equality(system, args.n, budget=budget)
+            doc["pairs_equal"] = verify_pairs_equality(system, args.n, budget=args.budget)
         except ValueError as exc:
             raise SchemaError(f"--verify-pairs: {exc}") from exc
     return doc
@@ -345,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--verify-pairs", action="store_true", dest="verify_pairs",
                       help="also count the pairs-graph edge system "
                            "exhaustively and compare")
-    enum.add_argument("--budget", type=int, default=None, metavar="STATES",
-                      help=f"max q^n states to enumerate (default "
-                           f"{DEFAULT_BUDGET}; overrides ${ENV_BUDGET})")
+    enum.add_argument("--budget", type=int, default=None, metavar="B",
+                      help=f"cap on q^N, the number of words a count covers "
+                           f"(default {DEFAULT_BUDGET})")
     rec = sub.add_parser("reconstruct", parents=[in_parent, out_parent],
                          help="rebuild one channel's view from pairwise views")
     rec.add_argument("--channel", type=int, required=True, metavar="IDX",
@@ -371,8 +353,8 @@ def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit code.
 
     main may be called any number of times in one process.  The calls share
-    one parser, built on the first call; each call reads stdin, stdout and
-    $COLORCAP_BUDGET afresh and keeps no state for the next.
+    one parser, built on the first call; each call reads stdin and stdout
+    afresh and keeps no state for the next.
     """
     try:
         args = _parser().parse_args(argv)

@@ -166,20 +166,20 @@ def test_budget_exit_3():
     assert "budget" in proc.stderr
 
 
-def test_env_budget_and_flag_precedence(tmp_path):
-    import os
+def test_enumerate_reads_no_environment():
+    # enumerate is a function of argv and its input files alone
+    def run(env):
+        proc = _run("enumerate", "--n", "10", stdin=_doc(2, [[1], [2]]), env=env)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        for report in doc["enumeration"]:
+            del report["elapsed"]
+        return doc
 
-    env = dict(os.environ, COLORCAP_BUDGET="100")
-    proc = _run("enumerate", "--n", "10", stdin=_doc(2, [[1], [2]]), env=env)
-    assert proc.returncode == 3
-    proc = _run(
-        "enumerate", "--n", "10", "--budget", "10000",
-        stdin=_doc(2, [[1], [2]]), env=env,
-    )
-    assert proc.returncode == 0
-    env_bad = dict(os.environ, COLORCAP_BUDGET="many")
-    proc = _run("enumerate", "--n", "3", stdin=_doc(2, [[1], [2]]), env=env_bad)
-    assert proc.returncode == 2
+    unset = {k: v for k, v in os.environ.items() if k != "COLORCAP_BUDGET"}
+    expected = run(unset)
+    assert run(dict(unset, COLORCAP_BUDGET="100")) == expected
+    assert run(dict(unset, COLORCAP_BUDGET="many")) == expected
 
 
 def test_reconstruct_round_trip(tmp_path):
@@ -341,11 +341,18 @@ def test_rejections_exit_with_one_line_error(tmp_path, flags, content, code):
     _assert_rejected(*_main([*flags, "--input", str(src)]), code)
 
 
-def test_negative_env_budget_exit_2(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags, text", [
+    pytest.param(["--n", "-1"], "block length must be >= 0, got -1", id="negative-n"),
+    pytest.param(["--n", "3", "--budget", "-5"],
+                 "budget must be None or an integer >= 0, got -5", id="negative-budget"),
+])
+def test_length_and_budget_refusals_read_the_library_text(tmp_path, flags, text):
+    # the CLI passes --n and --budget on unchecked; the library's refusal is the line
     src = tmp_path / "system.json"
     src.write_text(json.dumps(PATH2))
-    monkeypatch.setenv("COLORCAP_BUDGET", "-5")
-    _assert_rejected(*_main(["enumerate", "--n", "3", "--input", str(src)]), 2)
+    code, stdout, stderr = _main(["enumerate", *flags, "--input", str(src)])
+    _assert_rejected(code, stdout, stderr, 2)
+    assert stderr == f"error: {text}\n"
 
 
 def test_reconstruct_one_letter_channel_exit_2(tmp_path):
@@ -477,8 +484,7 @@ def test_each_command_classifies_a_system_once(tmp_path, monkeypatch, flags, con
     assert len({id(s) for s in calls}) == len(calls)  # no instance twice
 
 
-def test_main_calls_in_one_process_carry_no_state(tmp_path, monkeypatch):
-    monkeypatch.delenv("COLORCAP_BUDGET", raising=False)
+def test_main_calls_in_one_process_carry_no_state(tmp_path):
     src = tmp_path / "system.json"
     src.write_text(json.dumps(PATH2))
 
@@ -498,11 +504,6 @@ def test_main_calls_in_one_process_carry_no_state(tmp_path, monkeypatch):
     assert "pairs_equal" not in doc and "truncated" not in doc
     assert [(r["n"], r["count"]) for r in doc["enumeration"]] == [(3, "21")]
     # the budget of 500 stays with the calls that gave it: 3^6 = 729 counts
-    assert run("enumerate", "--n", "6")[0] == 0
-
-    monkeypatch.setenv("COLORCAP_BUDGET", "100")
-    assert run("enumerate", "--n", "6")[0] == 3
-    monkeypatch.delenv("COLORCAP_BUDGET")
     assert run("enumerate", "--n", "6")[0] == 0
 
     _assert_rejected(*_main(["enumerate", "--n", "abc", "--input", str(src)]), 2)
