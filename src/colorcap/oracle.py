@@ -12,7 +12,9 @@ recognizes.  The exhaustive counter _levels, which stores every distinct
 output, checks that lemma through verify_pairs_equality.  It keys an output
 by its views, each ended by a separator of its own channel, so appending a
 letter to the views that hold it is one bytes.replace per channel, mapped
-over chunks of keys in C.
+over chunks of keys in C.  reconstruct_view codes the view of each letter
+pair as bytes, 0 for the smaller letter and 1 for the larger; when both
+letters are ints in 0..255, one bytes.translate codes it in C.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .systems import _class_graph, _holders, _require_irreducible, edge_system
 
 DEFAULT_BUDGET = 200_000_000
 _CHUNK = 1024  # keys _levels extends per batch of C-level replaces
+_CODES = b"\0", b"\1"  # a pair's smaller and larger letter in a coded view
+_FOREIGN = b"\2" * 256  # the byte a foreign symbol translates to
 
 
 class BudgetExceededError(RuntimeError):
@@ -207,22 +211,54 @@ class ReconstructionError(ValueError):
     """The pairwise views are not the projections of any single word."""
 
 
+def _code_view(view: tuple, pair: tuple, in_c: bool) -> bytes:
+    """The view of pair (a, b) as bytes, with a as byte 0 and b as byte 1.
+
+    in_c says that a and b are ints in 0..255; then one translate codes the
+    view in C, and a foreign symbol shows as byte 2.  Any other view, and one
+    that shows byte 2, is coded symbol by symbol, which names the first
+    foreign symbol in view order.
+    """
+    a, b = pair
+    if in_c:
+        table = bytearray(_FOREIGN)
+        table[a], table[b] = 0, 1
+        try:
+            coded = bytes(view).translate(table)
+        except (TypeError, ValueError):  # a symbol that is not a byte
+            pass
+        else:
+            if 2 not in coded:
+                return coded
+    try:
+        # a symbol outside the pair maps to None, which bytes rejects
+        return bytes(map({a: 0, b: 1}.get, view))
+    except TypeError:  # or on a symbol that cannot be hashed
+        for s in view:
+            if s not in pair:
+                raise ReconstructionError(
+                    f"view for pair {pair} contains foreign symbol {s}") from None
+        # every symbol equals a letter of the pair, though not by its hash
+        return bytes(0 if s in pair[:1] else 1 for s in view)
+
+
 def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     """Rebuild the projection onto `channel` from all its pairwise views.
 
     pair_views maps each 2-subset {a, b} of the channel to the projection of
-    the word onto {a, b}.  Each letter is coded as one character, its rank
-    in the sorted channel, so every view is a string and each pass over it
-    is one str method.  In view (a, b), view.split(a) gives the runs of b's
-    between consecutive a's.  The j-th a of the word (counting from 0) comes
-    after j earlier a's and, for every other letter b, after the b's in the
-    first j + 1 runs of view (a, b); it is placed straight into that slot.
-    That slot is the number of occurrences the views put before it, its
-    score in the tournament the views define on all occurrences, and a
-    tournament is transitive exactly when its scores are distinct (Landau).
-    So the views are the projections of one word exactly when every slot is
-    filled once; an empty slot raises ReconstructionError.  The cost is
-    linear in the total length of the views.
+    the word onto {a, b}.  That view is coded as bytes, the smaller letter
+    as 0 and the larger as 1 (_code_view), so each pass over it is one bytes
+    method, and each letter reads its views by its own byte.  Split at a's
+    byte, the view of {a, b} gives the runs of b's between consecutive a's.
+    The j-th a of the word (counting from 0) comes after j earlier a's and,
+    for every other letter b, after the b's in the first j + 1 runs of that
+    view; it is placed straight into that slot.  That slot is the number of
+    occurrences the views put before it, its score in the tournament the
+    views define on all occurrences, and a tournament is transitive exactly
+    when its scores are distinct (Landau).  So the views are the projections
+    of one word exactly when every slot is filled once; an empty slot raises
+    ReconstructionError.  The cost is linear in the total length of the
+    views.
     """
     letters = sorted(set(channel))
     m = len(letters)
@@ -232,32 +268,26 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     if len(normalized) != len(pair_views):
         raise ReconstructionError("duplicate pair keys in the views")
     codes = list(map(chr, range(m)))
-    own: list[list[str]] = [[] for _ in letters]  # the views of each letter
+    # a letter that is an int in 0..255 indexes a translate table; a negative
+    # int would index it from its end and alias a foreign byte
+    in_c = [type(a) is int and 0 <= a < 256 for a in letters]
+    # each letter's views where it is byte 0, and where it is byte 1
+    own: list[tuple[list[bytes], list[bytes]]] = [([], []) for _ in letters]
     for i, j in itertools.combinations(range(m), 2):
         pair = letters[i], letters[j]
         key = frozenset(pair)
         if key not in normalized:
             raise ReconstructionError(f"missing view for pair {pair}")
-        view = normalized.pop(key)
-        try:
-            # a symbol outside the pair maps to None, which join rejects
-            coded = "".join(map({pair[0]: codes[i], pair[1]: codes[j]}.get, view))
-        except TypeError:  # or on a symbol that cannot be hashed
-            for s in view:
-                if s not in pair:
-                    raise ReconstructionError(
-                        f"view for pair {pair} contains foreign symbol {s}") from None
-            # every symbol equals a letter of the pair, though not by its hash
-            coded = "".join(codes[i] if s in pair[:1] else codes[j] for s in view)
-        own[i].append(coded)
-        own[j].append(coded)
+        coded = _code_view(normalized.pop(key), pair, in_c[i] and in_c[j])
+        own[i][0].append(coded)
+        own[j][1].append(coded)
     if normalized:
         extra = tuple(sorted(next(iter(normalized))))
         raise ReconstructionError(f"view for {extra} is not a pair of the channel")
 
     counts = []
-    for a, c, vs in zip(letters, codes, own):
-        found = {v.count(c) for v in vs}
+    for a, views in zip(letters, own):
+        found = {v.count(code) for code, vs in zip(_CODES, views) for v in vs}
         if len(found) > 1:
             raise ReconstructionError(
                 f"letter {a} occurs a different number of times across views")
@@ -266,10 +296,11 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     # with equal counts every slot lies in out; two occurrences with one
     # score share a slot and leave another empty
     out = [None] * sum(counts)
-    for c, vs, count in zip(codes, own, counts):
+    for c, views, count in zip(codes, own, counts):
         gaps = [0] + [1] * count  # the j earlier a's of the j-th a
-        for v in vs:
-            gaps = list(map(operator.add, gaps, map(len, v.split(c))))
+        for code, vs in zip(_CODES, views):
+            for v in vs:
+                gaps = list(map(operator.add, gaps, map(len, v.split(code))))
         gaps.pop()  # the run after the last a
         for slot in itertools.accumulate(gaps):
             out[slot] = c

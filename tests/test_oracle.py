@@ -336,8 +336,9 @@ def test_engine_memory_stays_far_below_the_outputs():
 
 
 def test_reconstruct_memory_stays_near_the_views():
-    # one list of slots for the word, one running list of gaps per letter and
-    # one view's runs at a time: 10^5 letters over 6 peak at about 2.3 MB
+    # the views coded as bytes, one byte a symbol, one list of slots for the
+    # word, one running list of gaps per letter and one view's runs at a
+    # time: 10^5 letters over 6 peak at about 1.9 MB
     rng = random.Random(6)
     channel = frozenset(range(1, 7))
     x = tuple(rng.choices(sorted(channel), k=100_000))
@@ -728,13 +729,18 @@ def test_reconstruct_foreign_symbol():
         reconstruct_view(views, frozenset({1, 2, 3}))
 
 
-@settings(max_examples=60)
-@given(st.lists(st.integers(1, 4), max_size=24).map(tuple), st.data())
+# letters on both sides of the byte boundary, and one that is not an int, so
+# one channel can mix pairs coded by translate with pairs coded symbol by symbol
+_LETTERS = (-1, 0, 1, 2, 2.5, 3, 4, 255, 256, 300)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.sampled_from(_LETTERS), max_size=32).map(tuple), st.data())
 def test_reconstruct_round_trip_property(x, data):
     size = data.draw(st.integers(2, 4))
     channel = frozenset(
         data.draw(
-            st.permutations(range(1, 5)).map(lambda p: tuple(p[:size]))
+            st.permutations(_LETTERS).map(lambda p: tuple(p[:size]))
         )
     )
     views = {
@@ -832,11 +838,12 @@ def _views(x, channel):
 
 
 @settings(max_examples=300)
-@given(st.lists(st.integers(1, 4), max_size=16).map(tuple), st.data())
+@given(st.lists(st.sampled_from(_LETTERS), max_size=24).map(tuple), st.data())
 def test_reconstruct_perturbed_views_are_rejected_or_reproduced(x, data):
     # whatever the views, a returned word must project onto every one of them;
     # a 2-letter channel has one view, always the projection of some word
-    channel = frozenset(data.draw(st.sets(st.integers(1, 4), min_size=3)))
+    channel = frozenset(data.draw(
+        st.sets(st.sampled_from(_LETTERS), min_size=3, max_size=5)))
     views = _views(x, channel)
     for _ in range(data.draw(st.integers(1, 2))):
         key = data.draw(st.sampled_from(sorted(views, key=sorted)))
@@ -854,7 +861,8 @@ def test_reconstruct_perturbed_views_are_rejected_or_reproduced(x, data):
                 k = next((k for k in turns if k >= i), turns[0])
                 view[k], view[k + 1] = view[k + 1], view[k]
         elif edit == "foreign":
-            view.insert(i, data.draw(st.sampled_from([0, 5, -1, "1", 1.5])))
+            view.insert(i, data.draw(st.sampled_from(
+                [0, 5, -1, "1", 1.5, 255, 256, 2**70, True])))
         views[key] = tuple(view)
     try:
         word = reconstruct_view(views, channel)
@@ -878,13 +886,29 @@ def test_reconstruct_round_trip_channel_of_200_letters():
     assert reconstruct_view(_views(x, channel), channel) == x
 
 
-@pytest.mark.parametrize("symbol, shown", [([2], r"\[2\]"), ({3}, r"\{3\}"), (None, "None")])
+@pytest.mark.parametrize("symbol, shown", [
+    ([2], r"\[2\]"), ({3}, r"\{3\}"), (None, "None"),
+    # a tuple is the symbols after the 1: the first foreign one in view order
+    # is named, whether it is a byte or not
+    ((9, 300), "9"), ((300, 9), "300"),
+])
 def test_reconstruct_names_an_unhashable_or_foreign_symbol(symbol, shown):
-    views = {frozenset({1, 2}): (1, symbol), frozenset({1, 3}): (1,),
+    tail = symbol if isinstance(symbol, tuple) else (symbol,)
+    views = {frozenset({1, 2}): (1, *tail), frozenset({1, 3}): (1,),
              frozenset({2, 3}): ()}
     with pytest.raises(ReconstructionError,
                        match=rf"view for pair \(1, 2\) contains foreign symbol {shown}$"):
         reconstruct_view(views, frozenset({1, 2, 3}))
+
+
+def test_reconstruct_negative_letter_does_not_alias_byte_255():
+    # -1 would index a 256-byte table at its last entry, the code of 255, and
+    # these views would pass for the projections of (-1, 2, 3)
+    views = {frozenset({-1, 2}): (255, 2), frozenset({-1, 3}): (-1, 3),
+             frozenset({2, 3}): (2, 3)}
+    with pytest.raises(ReconstructionError,
+                       match=r"view for pair \(-1, 2\) contains foreign symbol 255$"):
+        reconstruct_view(views, frozenset({-1, 2, 3}))
 
 
 def test_reconstruct_codes_a_symbol_equal_to_a_letter_but_unhashable():
