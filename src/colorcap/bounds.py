@@ -2,8 +2,10 @@
 
 For an irreducible system the clique number of the pairs graph sandwiches
 the capacity: a clique of co-occurring letters is transmitted losslessly,
-and a counting argument caps the rate at log_q(omega * t * e).  The clique
-is searched over letter classes read off the channels, never over edges.
+and a counting argument caps the rate at log_q(omega * t * e).  Two sets,
+sunflowers and paths take the clique from their largest channel; other
+leaves search it over letter classes read off the channels, never over
+edges.
 Cycles of 2-set channels get a tailored sandwich: the cycle contains a path
 (lower) and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
 """
@@ -24,7 +26,9 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
 
     Requires an irreducible system with t >= 2, by the guard it shares with
     verify_pairs_equality.  The upper end is clamped to 1, the trivial cap for
-    any system.  This is also the General leaf of bounds() and capacity().
+    any system.  This is also the General leaf of bounds() and capacity(),
+    and the two-set, sunflower and path leaf of bounds(), where max_clique
+    reads omega off the channels instead of searching.
     """
     _require_irreducible(system, "clique sandwich")
     clique = max_clique(system)

@@ -112,13 +112,24 @@ def _class_graph(system: ChannelSystem) -> tuple[list[list[int]], list[set[int]]
 
 def max_clique(system: ChannelSystem) -> frozenset[int]:
     """One maximum clique of the pairs graph (lexicographically least among
-    the largest): Bron-Kerbosch with pivoting over the letter classes, run on
-    an explicit stack and keeping only the best maximal clique found so far.
-    Searched once per system instance; later calls return the same set.
+    the largest).
+
+    TwoSets, Sunflower, Path and Cycle systems read it off their channels:
+    letters of different petals (or of different sets) share no channel, and
+    a path or a cycle of t >= 4 two-sets has no triangle, so every maximal
+    clique is a channel and the answer is the least of the largest channels.
+    Every other class is searched: Bron-Kerbosch with pivoting over the
+    letter classes, run on an explicit stack and keeping only the best
+    maximal clique found so far.  Computed once per system instance; later
+    calls return the same set.
     """
     known = system._known
     if "max_clique" not in known:
-        known["max_clique"] = _max_clique(system)
+        if isinstance(classify(system), (TwoSets, Sunflower, Path, Cycle)):
+            known["max_clique"] = frozenset(
+                min((-len(ch), sorted(ch)) for ch in system.channels)[1])
+        else:
+            known["max_clique"] = _max_clique(system)
     return known["max_clique"]
 
 

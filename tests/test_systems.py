@@ -177,6 +177,16 @@ def test_clique_number():
     assert max_clique(system) == frozenset({1, 2, 3})
     path = ChannelSystem(4, [[1, 2], [2, 3], [3, 4]])
     assert len(max_clique(path)) == 2
+    # shapes take the least of their largest channels, wherever it is listed
+    for q, channels, cls, clique in [
+        (7, [[5, 3, 4], [5, 6, 7], [5, 1, 2]], Sunflower(1, 2, 3), {1, 2, 5}),
+        (5, [[4, 5, 3], [3, 1, 2]], TwoSets(1, 2, 2), {1, 2, 3}),
+        (5, [[3, 4], [4, 1], [1, 2], [2, 5]], Path(4), {1, 2}),
+        (5, [[4, 5], [5, 2], [2, 3], [3, 1], [1, 4]], Cycle(5), {1, 3}),
+    ]:
+        system = ChannelSystem(q, channels)
+        assert classify(system) == cls
+        assert max_clique(system) == clique == brute_max_clique(system)
 
 
 def test_clique_number_edgeless():
@@ -456,31 +466,50 @@ def _same_instances(calls, expected):
 
 # a 5-cycle with one chord: General, with a clique of three
 CHORDED = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]
+# shapes on relabeled letters: no clique lies outside a channel
+SUNFLOWER = [[8, 6, 1], [8, 6, 3], [8, 6, 2]]
+
+
+def _walk(system):
+    """The system and every system below it, in the order _dispatch visits them."""
+    cls = classify(system)
+    below = ([cls.reduced] if isinstance(cls, Reducible)
+             else cls.components if isinstance(cls, Separable) else [])
+    return [system] + [part for child in below for part in _walk(child)]
 
 
 def test_classify_and_clique_run_once_per_instance(monkeypatch):
     classified = _spy(monkeypatch, "_classify")
     searched = _spy(monkeypatch, "_max_clique")
-    # General
-    system = ChannelSystem(5, CHORDED)
-    for _ in range(2):
-        assert classify(system) == General()
-        capacity(system)
-        bounds(system)
-    assert _same_instances(classified, [system])
-    assert _same_instances(searched, [system])
-    # Reducible (the channel [1] is dominated) over a Separable of two Generals
-    classified.clear()
-    searched.clear()
-    system = ChannelSystem(10, CHORDED + [[a + 5 for a in ch] for ch in CHORDED] + [[1]])
-    cls = classify(system)
-    capacity(system)
-    bounds(system)
-    assert isinstance(cls, Reducible)
-    split = classify(cls.reduced)
-    assert isinstance(split, Separable) and len(split.components) == 2
-    assert _same_instances(classified, [system, cls.reduced, *split.components])
-    assert _same_instances(searched, split.components)
+    built = _spy(monkeypatch, "_class_graph")
+    for q, channels, top in [
+        (5, CHORDED, General),
+        # the channel [1] is dominated, over a Separable of two Generals
+        (10, CHORDED + [[a + 5 for a in ch] for ch in CHORDED] + [[1]], Reducible),
+        (7, [[6, 2, 5], [5, 3, 1, 7]], TwoSets),
+        (8, SUNFLOWER, Sunflower),
+        (5, [[3, 5], [5, 1], [1, 4], [4, 2]], Path),
+        (6, [[2, 4], [4, 1], [1, 6], [6, 3], [3, 2]], Cycle),
+        (8, SUNFLOWER + [[6, 8]], Reducible),
+        # two-set and path components
+        (8, [[1, 2, 3], [3, 4], [5, 6], [6, 7], [7, 8]], Separable),
+    ]:
+        classified.clear()
+        searched.clear()
+        built.clear()
+        system = ChannelSystem(q, channels)
+        for _ in range(2):
+            assert isinstance(classify(system), top)
+            capacity(system)
+            bounds(system)
+            for leaf, _cls in _leaves(system):
+                max_clique(leaf)
+        # every system of the walk is classified once; only General leaves
+        # build a class graph and search it, once each
+        general = [leaf for leaf, cls in _leaves(system) if isinstance(cls, General)]
+        assert _same_instances(classified, _walk(system))
+        assert _same_instances(searched, general)
+        assert _same_instances(built, general)
 
 
 def test_equal_systems_compute_their_own_results(monkeypatch):
@@ -592,6 +621,7 @@ def test_split_and_classify_match_the_reference(system):
         assert cls == reference_classify(leaf)
 
 
+@settings(max_examples=400)
 @given(small_systems())
 def test_max_clique_matches_brute_force(system):
     # the same clique, tie-break included, as trying every subset of [q]
