@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .capacity import CapacityResult, _dispatch, _logq, capacity_path, capacity_single
+from .capacity import CapacityResult, _dispatch, capacity_path, capacity_single
 from .channels import ChannelSystem
 from .systems import (
     Cycle, FullClique, SingleChannel, SystemClass, _require_irreducible, max_clique,
@@ -33,8 +33,8 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     _require_irreducible(system, "clique sandwich")
     clique = max_clique(system)
     omega = len(clique)
-    lower = _logq(omega, system.q)
-    upper = min(1.0, _logq(omega * system.t * math.e, system.q))
+    lower = math.log(omega, system.q)
+    upper = min(1.0, math.log(omega * system.t * math.e, system.q))
     return CapacityResult("bounds", "general", lower=lower, upper=upper,
                           witness={"omega": omega, "clique": sorted(clique),
                                    "t": system.t})
@@ -55,7 +55,7 @@ def bounds_cycle(t: int, q: int) -> CapacityResult:
         raise ValueError(f"a cycle of {t} channels needs {t} letters, "
                          f"alphabet has {q}")
     path = capacity_path(t - 1, q)
-    upper = _logq(2.0 + math.sqrt(3.0) if t == 4 else 4, q)
+    upper = math.log(2.0 + math.sqrt(3.0) if t == 4 else 4, q)
     return CapacityResult("bounds", "cycle", lower=path.value, upper=upper,
                           witness={"t": t, "lower_path": path.witness})
 

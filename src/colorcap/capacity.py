@@ -8,7 +8,7 @@ polynomial (Cartier-Foata, Viennot's heaps of pieces).  So every exact
 capacity below is log_q(1/rho) for the least root rho of I(G, -z), and each
 result carries the optimizing letter-frequency profile as a witness.
 
-All logarithms in base q are computed as ln(x)/ln(q) in double precision.
+Logarithms in base q are math.log(x, q), in double precision.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from .channels import ChannelSystem, Record
 from .systems import (
     Path, Reducible, Separable, Sunflower, SystemClass, TwoSets, classify,
 )
-
-
-def _logq(x: float, q: int) -> float:
-    return math.log(x) / math.log(q)
 
 
 class CapacityResult(Record):
@@ -70,7 +66,7 @@ def capacity_single(size: int, q: int) -> CapacityResult:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
     if not 1 <= size <= q:
         raise ValueError(f"channel size must lie in 1..{q}, got {size}")
-    return CapacityResult("exact", "single_channel", value=_logq(size, q),
+    return CapacityResult("exact", "single_channel", value=math.log(size, q),
                           witness={"size": size})
 
 
@@ -99,7 +95,7 @@ def capacity_sunflower(k: int, p: int, t: int, q: int) -> CapacityResult:
             hi = mid
         mid = (lo + hi) / 2.0
     petals = t * p * (1.0 - p * hi) ** (t - 1)
-    return CapacityResult("exact", "sunflower", value=-_logq(hi, q),
+    return CapacityResult("exact", "sunflower", value=-math.log(hi, q),
                           witness={"k": k, "p": p, "t": t,
                                    "y_star": petals / (k + petals)})
 
@@ -120,7 +116,7 @@ def capacity_two_sets(k: int, p1: int, p2: int, q: int) -> CapacityResult:
     disc = math.sqrt((k + p1 + p2) ** 2 - 4 * p1 * p2)
     x1 = 0.5 - (k + p2 - p1) / (2 * disc)
     x2 = 0.5 - (k + p1 - p2) / (2 * disc)
-    return CapacityResult("exact", "two_sets", value=_logq((k + p1 + p2 + disc) / 2, q),
+    return CapacityResult("exact", "two_sets", value=math.log((k + p1 + p2 + disc) / 2, q),
                           witness={"k": k, "p1": p1, "p2": p2,
                                    "x1_star": x1, "x2_star": x2})
 
@@ -159,7 +155,7 @@ def capacity_path(t: int, q: int) -> CapacityResult:
         raise ValueError(f"a path of {t} channels needs {t + 1} letters, "
                          f"alphabet has {q}")
     m, r, alpha = path_profile(t)
-    return CapacityResult("exact", "path", value=_logq(m, q),
+    return CapacityResult("exact", "path", value=math.log(m, q),
                           witness={"t": t, "m_star": m, "r_star": r,
                                    "alpha_star": alpha})
 

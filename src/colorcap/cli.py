@@ -14,7 +14,7 @@ import json
 import os
 import re
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import Decimal
 
 from .bounds import bounds
 from .capacity import CapacityResult, capacity
@@ -138,14 +138,10 @@ def class_dict(cls: SystemClass) -> dict:
 
 def format_sig(value: float, digits: int = 5) -> str:
     """Round to the given significant digits (half-even), keeping zeros."""
-    d = Decimal(value)
-    if d == d.to_integral_value():
-        return str(int(d))
-    exponent = Decimal(1).scaleb(d.adjusted() - digits + 1)
-    rounded = d.quantize(exponent, rounding=ROUND_HALF_EVEN)
-    if rounded.adjusted() != d.adjusted():  # rounding crossed a decade
-        rounded = d.quantize(exponent.scaleb(1), rounding=ROUND_HALF_EVEN)
-    return str(rounded)
+    if value == int(value):
+        return str(int(value))
+    # g rounds the exact binary value; Decimal keeps the notation (E below 1e-6)
+    return str(Decimal(f"{value:#.{digits}g}"))
 
 
 def capacity_dict(result: CapacityResult) -> dict:

@@ -168,7 +168,7 @@ def _reports(system: ChannelSystem, lengths: Iterable[int], budget: int | None,
             raise BudgetExceededError(system.q, n, limit)
         count = next(c for i, c in indexed if i == n)
         # log of the exact power, so a full channel reports a rate of exactly 1.0
-        rate = 0.0 if n == 0 else math.log(count) / math.log(states)
+        rate = 0.0 if n == 0 else math.log(count, states)
         yield EnumerationReport(n=n, count=count, rate=rate,
                                 elapsed=time.perf_counter() - start)
 
@@ -267,7 +267,6 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     normalized = {frozenset(key): tuple(word) for key, word in pair_views.items()}
     if len(normalized) != len(pair_views):
         raise ReconstructionError("duplicate pair keys in the views")
-    codes = list(map(chr, range(m)))
     # a letter that is an int in 0..255 indexes a translate table; a negative
     # int would index it from its end and alias a foreign byte
     in_c = [type(a) is int and 0 <= a < 256 for a in letters]
@@ -296,20 +295,18 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
     # with equal counts every slot lies in out; two occurrences with one
     # score share a slot and leave another empty
     out = [None] * sum(counts)
-    for c, views, count in zip(codes, own, counts):
+    for a, views, count in zip(letters, own, counts):
         gaps = [0] + [1] * count  # the j earlier a's of the j-th a
         for code, vs in zip(_CODES, views):
             for v in vs:
                 gaps = list(map(operator.add, gaps, map(len, v.split(code))))
         gaps.pop()  # the run after the last a
         for slot in itertools.accumulate(gaps):
-            out[slot] = c
+            out[slot] = a
     if None in out:
         raise ReconstructionError("the views are not the projections of one word: "
                                   "their orders of the letters form a cycle")
-    text = "".join(out)
-    del out
-    return tuple(map(letters.__getitem__, map(ord, text)))
+    return tuple(out)
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,

@@ -45,6 +45,11 @@ def test_format_sig():
     assert format_sig(0.8271946346183933) == "0.82719"
     assert format_sig(0.7924812503605781) == "0.79248"
     assert format_sig(0.9999999) == "1.0000"
+    assert format_sig(2**-8) == "0.0039062"  # a binary tie, rounded half-even
+    assert format_sig(0.0999995) == "0.10000"  # rounding crosses a decade
+    assert format_sig(9.99995e-05) == "0.000099999"
+    assert format_sig(5.1889e-05) == "0.000051889"
+    assert format_sig(2.3504e-07) == "2.3504E-7"
 
 
 def test_import_starts_no_process_machinery():
