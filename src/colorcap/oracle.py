@@ -242,8 +242,11 @@ def _code_view(view: tuple, pair: tuple, in_c: bool) -> bytes:
         return bytes(0 if s in pair[:1] else 1 for s in view)
 
 
-def reconstruct_view(pair_views: Mapping, channel) -> tuple[int, ...]:
+def reconstruct_view(pair_views: Mapping, channel) -> tuple:
     """Rebuild the projection onto `channel` from all its pairwise views.
+
+    Returns that projection as a tuple of the channel's own letters,
+    whatever their type (such as 2.5 or 'a').
 
     pair_views maps each 2-subset {a, b} of the channel to the projection of
     the word onto {a, b}.  That view is coded as bytes, the smaller letter

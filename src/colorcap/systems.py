@@ -118,10 +118,15 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     letters of different petals (or of different sets) share no channel, and
     a path or a cycle of t >= 4 two-sets has no triangle, so every maximal
     clique is a channel and the answer is the least of the largest channels.
-    Every other class is searched: Bron-Kerbosch with pivoting over the
-    letter classes, run on an explicit stack and keeping only the best
-    maximal clique found so far.  Computed once per system instance; later
-    calls return the same set.
+    Every other class is searched: Bron-Kerbosch over the letter classes,
+    run on an explicit stack as a branch and bound (Carraghan-Pardalos).
+    The best clique starts as the least of the largest channels, since
+    every channel is a clique.  A child is pushed only if its letters and
+    its candidates' letters could beat the best; on an exact tie it can
+    only match the best by taking every candidate, so if they are pairwise
+    adjacent that clique is compared with the best in place.  The pivot is
+    the candidate with the most neighbours in the class graph.  Computed
+    once per system instance; later calls return the same set.
     """
     known = system._known
     if "max_clique" not in known:
@@ -135,18 +140,30 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
 
 def _max_clique(system: ChannelSystem) -> frozenset[int]:
     members, adj = _class_graph(system)
-    # a single letter is a clique of the graph on [q]; any two letters beat it
-    best: tuple[int, list[int]] = (-1, [1])
+    size, degree = list(map(len, members)), list(map(len, adj))
+    # every channel is a clique, and so is a single letter of the graph on [q]
+    best: tuple[int, list[int]] = min(
+        (-1, [1]), *((-len(ch), sorted(ch)) for ch in system.channels))
     stack = [([], set(range(len(adj))), set())]
     while stack:
         r, p, x = stack.pop()
-        if not p and not x:
-            best = min(best, (-len(r), sorted(r)))
+        if not p:
+            if not x:
+                best = min(best, (-len(r), sorted(r)))
             continue
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
+        pivot = max(p, key=degree.__getitem__)
         for v in list(p - adj[pivot]):
             # the child sees p and x after its earlier siblings moved across
-            stack.append((r + members[v], p & adj[v], x & adj[v]))
+            cr, cp = r + members[v], p & adj[v]
+            reach = len(cr) + sum(map(size.__getitem__, cp))
+            if reach > -best[0]:
+                stack.append((cr, cp, x & adj[v]))
+            elif reach == -best[0]:
+                # a tie must take every candidate, so it is cr + cp or nothing
+                if cp and all(len(adj[u] & cp) == len(cp) - 1 for u in cp):
+                    cr += [a for u in cp for a in members[u]]
+                if len(cr) == reach:
+                    best = min(best, (-reach, sorted(cr)))
             p.remove(v)
             x.add(v)
     return frozenset(best[1])

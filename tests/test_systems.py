@@ -236,6 +236,48 @@ def test_max_clique_does_not_recurse_per_clique_letter():
     assert peak < 10**6
 
 
+@pytest.mark.parametrize("q, channels", [
+    # the triangle ties the starting channel {4, 5, 6} and beats it on order
+    (6, [[1, 2], [2, 3], [1, 3], [3, 4], [4, 5, 6]]),
+    (6, [[4, 5, 6], [1, 2], [2, 3], [1, 3], [1, 4]]),
+    # two triangles, each beating every starting channel: the lesser wins
+    (7, [[1, 2], [2, 3], [3, 1], [3, 4], [4, 5], [5, 6], [6, 4], [6, 7]]),
+])
+def test_max_clique_breaks_ties_like_brute_force(q, channels):
+    system = ChannelSystem(q, channels)
+    assert classify(system) == General()
+    assert max_clique(system) == frozenset({1, 2, 3}) == brute_max_clique(system)
+
+
+def test_max_clique_matches_brute_force_on_chained_systems():
+    # General systems over q = 8-12 whose channels each share a letter with
+    # the one before, kept only when some letter class holds several letters:
+    # big enough that the bound prunes, and that ties meet multi-letter classes
+    rng = random.Random(2027)
+    checked = 0
+    while checked < 300:
+        q = rng.randint(8, 12)
+        letters = rng.sample(range(1, q + 1), q)
+        channels = [rng.sample(letters, rng.randint(2, 5))]
+        for _ in range(rng.randint(2, 6)):
+            channels.append([rng.choice(channels[-1])] + rng.sample(letters, rng.randint(1, 4)))
+        system = ChannelSystem(q, channels)
+        members, _ = colorcap.systems._class_graph(system)
+        if classify(system) != General() or all(len(c) == 1 for c in members):
+            continue
+        checked += 1
+        assert max_clique(system) == brute_max_clique(system), channels
+
+
+def test_max_clique_returns_the_channel_of_a_pendant_system():
+    # one 300-letter channel, and a 2-set from each of its letters to a
+    # private letter: no branch off a pendant can beat the channel
+    m = 300
+    system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)])
+    assert classify(system) == General()
+    assert max_clique(system) == frozenset(range(1, m + 1))
+
+
 # classification
 
 
