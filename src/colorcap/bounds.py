@@ -4,11 +4,13 @@ For an irreducible system the clique number of the pairs graph sandwiches
 the capacity: a clique of co-occurring letters is transmitted losslessly,
 and a counting argument caps the rate at log_q(omega * t * e).  Two sets,
 sunflowers and paths take the clique from their largest channel; other
-leaves search it over letter classes read off the channels, never over
-edges.  The search is a branch and bound that starts from the least of the
-largest channels: it drops a branch whose letters cannot beat the best
-clique, settles an exact tie in place when the branch's candidates are
-pairwise adjacent, and pivots on the candidate of highest degree.
+leaves search it over the letter classes that two or more channels share,
+read off the channels, never over edges: a letter of one channel lies in no
+clique larger than its channel.  The search is a branch and bound that
+starts from the least of the largest channels: it drops a branch whose
+letters cannot beat the best clique, settles an exact tie in place when the
+branch's candidates are pairwise adjacent, and pivots on the candidate of
+highest degree.
 Cycles of 2-set channels get a tailored sandwich: the cycle contains a path
 (lower) and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
 """

@@ -26,7 +26,9 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 
 from .channels import ChannelSystem, Record
-from .systems import _class_graph, _holders, _require_irreducible, edge_system
+from .systems import (
+    _class_graph, _holders, _letter_classes, _require_irreducible, edge_system,
+)
 
 DEFAULT_BUDGET = 200_000_000
 _CHUNK = 1024  # keys _levels extends per batch of C-level replaces
@@ -63,7 +65,7 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
     its states of count * |letters not in S|, and level k+1 is built only
     when a longer length is asked for.
     """
-    members, adj = _class_graph(system)
+    members, adj = _class_graph(system, _letter_classes(_holders(system)))
     steps, by_size = [], {}
     for c, (letters, near) in enumerate(zip(members, adj)):
         dep = sum(1 << d for d in near) | 1 << c  # the classes c does not commute with

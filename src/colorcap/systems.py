@@ -97,11 +97,13 @@ def edge_system(system: ChannelSystem) -> ChannelSystem:
     return ChannelSystem(system.q, sorted(edges))
 
 
-def _class_graph(system: ChannelSystem) -> tuple[list[list[int]], list[set[int]]]:
-    """The pairs graph on letter classes: each class's letters, and the set of
-    the other classes that share a channel with it (the class's neighbours).
+def _class_graph(
+    system: ChannelSystem, classes: dict[frozenset[int], list[int]],
+) -> tuple[list[list[int]], list[set[int]]]:
+    """The pairs graph induced on the given letter classes of the system: each
+    class's letters, and the set of the other given classes that share a
+    channel with it (the class's neighbours), numbered in the map's order.
     """
-    classes = _letter_classes(_holders(system))
     holds: list[set[int]] = [set() for _ in system.channels]
     for c, idx in enumerate(classes):
         for i in idx:
@@ -118,15 +120,18 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     letters of different petals (or of different sets) share no channel, and
     a path or a cycle of t >= 4 two-sets has no triangle, so every maximal
     clique is a channel and the answer is the least of the largest channels.
-    Every other class is searched: Bron-Kerbosch over the letter classes,
-    run on an explicit stack as a branch and bound (Carraghan-Pardalos).
-    The best clique starts as the least of the largest channels, since
-    every channel is a clique.  A child is pushed only if its letters and
-    its candidates' letters could beat the best; on an exact tie it can
-    only match the best by taking every candidate, so if they are pairwise
-    adjacent that clique is compared with the best in place.  The pivot is
-    the candidate with the most neighbours in the class graph.  Computed
-    once per system instance; later calls return the same set.
+    Every other class is searched: Bron-Kerbosch over the letter classes
+    held by two or more channels, run on an explicit stack as a branch and
+    bound (Carraghan-Pardalos).  The best clique starts as the least of the
+    largest channels, since every channel is a clique.  A letter held by
+    one channel is simplicial: its neighbours all lie in that channel, so no
+    clique through it beats the channel, and the search leaves it out.  A
+    child is pushed only if its letters and its candidates' letters could
+    beat the best; on an exact tie it can only match the best by taking
+    every candidate, so if they are pairwise adjacent that clique is
+    compared with the best in place.  The pivot is the candidate with the
+    most neighbours in the class graph.  Computed once per system instance;
+    later calls return the same set.
     """
     known = system._known
     if "max_clique" not in known:
@@ -139,7 +144,11 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
 
 
 def _max_clique(system: ChannelSystem) -> frozenset[int]:
-    members, adj = _class_graph(system)
+    # a clique through a letter of one channel lies in that channel, and
+    # every channel is a candidate for the starting best: join shared classes
+    members, adj = _class_graph(system, {
+        idx: letters for idx, letters in _letter_classes(_holders(system)).items()
+        if len(idx) > 1})
     size, degree = list(map(len, members)), list(map(len, adj))
     # every channel is a clique, and so is a single letter of the graph on [q]
     best: tuple[int, list[int]] = min(

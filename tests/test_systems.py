@@ -262,8 +262,8 @@ def test_max_clique_matches_brute_force_on_chained_systems():
         for _ in range(rng.randint(2, 6)):
             channels.append([rng.choice(channels[-1])] + rng.sample(letters, rng.randint(1, 4)))
         system = ChannelSystem(q, channels)
-        members, _ = colorcap.systems._class_graph(system)
-        if classify(system) != General() or all(len(c) == 1 for c in members):
+        classes = colorcap.systems._letter_classes(colorcap.systems._holders(system))
+        if classify(system) != General() or all(len(c) == 1 for c in classes.values()):
             continue
         checked += 1
         assert max_clique(system) == brute_max_clique(system), channels
@@ -276,6 +276,37 @@ def test_max_clique_returns_the_channel_of_a_pendant_system():
     system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)])
     assert classify(system) == General()
     assert max_clique(system) == frozenset(range(1, m + 1))
+
+
+@pytest.mark.parametrize("q, channels, clique", [
+    # the channel with two private letters ties the triangle {3, 4, 5} and
+    # beats it on order
+    (5, [[1, 2, 3], [3, 4], [4, 5], [5, 3]], {1, 2, 3}),
+    # a clique of shared letters beats every channel
+    (6, [[1, 2], [2, 3], [1, 3], [1, 4], [2, 4], [3, 4], [4, 5, 6]], {1, 2, 3, 4}),
+    # the triangle of shared letters ties the channel {5, 6, 7}, listed
+    # first, and beats it on order
+    (7, [[5, 6, 7], [1, 2], [2, 3], [1, 3], [3, 4], [4, 5]], {1, 2, 3}),
+])
+def test_max_clique_weighs_letters_of_one_channel_like_brute_force(q, channels, clique):
+    system = ChannelSystem(q, channels)
+    assert classify(system) == General()
+    assert max_clique(system) == frozenset(clique) == brute_max_clique(system)
+
+
+def test_max_clique_searches_only_the_letters_two_channels_share(monkeypatch):
+    # the pendant letters lie in one channel each, so the search leaves them out
+    joined, graph = [], colorcap.systems._class_graph
+
+    def spy(system, classes):
+        joined.append({a for letters in classes.values() for a in letters})
+        return graph(system, classes)
+
+    monkeypatch.setattr(colorcap.systems, "_class_graph", spy)
+    m = 300
+    system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)])
+    assert max_clique(system) == frozenset(range(1, m + 1))
+    assert joined == [set(range(1, m + 1))]
 
 
 # classification
@@ -449,9 +480,9 @@ def test_classify_builds_the_letter_map_once(monkeypatch, channels):
 def test_clique_and_trace_counter_read_one_class_graph(monkeypatch):
     graphs, graph = [], colorcap.systems._class_graph
 
-    def spy(system):
+    def spy(system, classes):
         graphs.append(system)
-        return graph(system)
+        return graph(system, classes)
 
     for module in (colorcap.systems, colorcap.oracle):
         monkeypatch.setattr(module, "_class_graph", spy)
@@ -468,8 +499,10 @@ def test_clique_and_trace_counter_read_one_class_graph(monkeypatch):
 ], ids=["bounds_general", "verify_pairs_equality"])
 def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
     builds, build = [], colorcap.systems._holders
-    monkeypatch.setattr(colorcap.systems, "_holders",
-                        lambda system: builds.append(system) or build(system))
+    # the trace counter builds the letter map it hands to the class graph
+    for module in (colorcap.systems, colorcap.oracle):
+        monkeypatch.setattr(module, "_holders",
+                            lambda system: builds.append(system) or build(system))
     # a separable system stops at the guard: one classify, one letter map
     split = ChannelSystem(5, [[1, 2], [3, 4, 5]])
     with pytest.raises(ValueError, match="irreducible"):
@@ -498,7 +531,7 @@ def _spy(monkeypatch, name):
     """Record each system the named private worker of colorcap.systems runs on."""
     calls, worker = [], getattr(colorcap.systems, name)
     monkeypatch.setattr(colorcap.systems, name,
-                        lambda system: calls.append(system) or worker(system))
+                        lambda system, *args: calls.append(system) or worker(system, *args))
     return calls
 
 
