@@ -6,11 +6,9 @@ and a counting argument caps the rate at log_q(omega * t * e).  Two sets,
 sunflowers and paths take the clique from their largest channel; other
 leaves search it over the letter classes that two or more channels share,
 read off the channels, never over edges: a letter of one channel lies in no
-clique larger than its channel.  The search is a branch and bound that
-starts from the least of the largest channels: it drops a branch whose
-letters cannot beat the best clique, settles an exact tie in place when the
-branch's candidates are pairwise adjacent, and pivots on the candidate of
-highest degree.
+clique larger than its channel.  The search is a Carraghan-Pardalos branch
+and bound with a Bron-Kerbosch pivot; its frames hold a clique's letters and
+candidates but no excluded set, as a non-maximal clique is never the largest.
 Cycles of 2-set channels get a tailored sandwich: the cycle contains a path
 (lower) and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
 """

@@ -136,12 +136,12 @@ def class_dict(cls: SystemClass) -> dict:
     return out
 
 
-def format_sig(value: float, digits: int = 5) -> str:
-    """Round to the given significant digits (half-even), keeping zeros."""
+def format_sig(value: float) -> str:
+    """Round to 5 significant digits (half-even), keeping zeros."""
     if value == int(value):
         return str(int(value))
     # g rounds the exact binary value; Decimal keeps the notation (E below 1e-6)
-    return str(Decimal(f"{value:#.{digits}g}"))
+    return str(Decimal(f"{value:#.5g}"))
 
 
 def capacity_dict(result: CapacityResult) -> dict:

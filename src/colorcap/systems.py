@@ -120,18 +120,17 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     letters of different petals (or of different sets) share no channel, and
     a path or a cycle of t >= 4 two-sets has no triangle, so every maximal
     clique is a channel and the answer is the least of the largest channels.
-    Every other class is searched: Bron-Kerbosch over the letter classes
-    held by two or more channels, run on an explicit stack as a branch and
-    bound (Carraghan-Pardalos).  The best clique starts as the least of the
-    largest channels, since every channel is a clique.  A letter held by
-    one channel is simplicial: its neighbours all lie in that channel, so no
-    clique through it beats the channel, and the search leaves it out.  A
-    child is pushed only if its letters and its candidates' letters could
-    beat the best; on an exact tie it can only match the best by taking
-    every candidate, so if they are pairwise adjacent that clique is
-    compared with the best in place.  The pivot is the candidate with the
-    most neighbours in the class graph.  Computed once per system instance;
-    later calls return the same set.
+    Every other class is searched over the letter classes held by two or
+    more channels (a letter of one channel is simplicial: no clique through
+    it beats its channel): a Carraghan-Pardalos branch and bound, pivoting
+    like Bron-Kerbosch on the candidate of highest degree, whose stack
+    frames hold a clique's letters and its candidates.  It needs no excluded
+    set: a clique that is not maximal is smaller than one containing it.
+    The best starts as the least largest channel.  A child is pushed if it
+    has candidates and could beat the best; any other that could tie or
+    beat it must take every candidate, so if they are pairwise adjacent
+    (always, when there are none) that clique is compared in place.
+    Computed once per system instance; later calls return the same set.
     """
     known = system._known
     if "max_clique" not in known:
@@ -153,28 +152,23 @@ def _max_clique(system: ChannelSystem) -> frozenset[int]:
     # every channel is a clique, and so is a single letter of the graph on [q]
     best: tuple[int, list[int]] = min(
         (-1, [1]), *((-len(ch), sorted(ch)) for ch in system.channels))
-    stack = [([], set(range(len(adj))), set())]
+    stack = [([], set(range(len(adj))))] if adj else []
     while stack:
-        r, p, x = stack.pop()
-        if not p:
-            if not x:
-                best = min(best, (-len(r), sorted(r)))
-            continue
+        r, p = stack.pop()
         pivot = max(p, key=degree.__getitem__)
         for v in list(p - adj[pivot]):
-            # the child sees p and x after its earlier siblings moved across
+            # the child sees p after its earlier siblings left it
             cr, cp = r + members[v], p & adj[v]
             reach = len(cr) + sum(map(size.__getitem__, cp))
-            if reach > -best[0]:
-                stack.append((cr, cp, x & adj[v]))
-            elif reach == -best[0]:
-                # a tie must take every candidate, so it is cr + cp or nothing
-                if cp and all(len(adj[u] & cp) == len(cp) - 1 for u in cp):
-                    cr += [a for u in cp for a in members[u]]
-                if len(cr) == reach:
-                    best = min(best, (-reach, sorted(cr)))
+            if cp and reach > -best[0]:
+                stack.append((cr, cp))
+            elif reach >= -best[0] and (not cp or all(
+                    len(adj[u] & cp) == len(cp) - 1 for u in cp)):
+                # no candidate left to branch on, or a tie that must take them all
+                for u in cp:
+                    cr += members[u]
+                best = min(best, (-reach, sorted(cr)))
             p.remove(v)
-            x.add(v)
     return frozenset(best[1])
 
 

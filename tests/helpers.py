@@ -120,6 +120,26 @@ def brute_max_clique(system: ChannelSystem) -> frozenset[int]:
     return frozenset({1})
 
 
+def antichains(q: int):
+    """Every system over [q] whose channels are non-empty and pairwise
+    incomparable: 4, 18, 166 and 7,579 of them at q = 2..5 (the Dedekind
+    numbers less the empty family and the family of the empty set).
+
+    Channels come in increasing (size, letters) order, so a later channel
+    can only contain an earlier one, never lie inside it.
+    """
+    subsets = [frozenset(c) for r in range(1, q + 1)
+               for c in itertools.combinations(range(1, q + 1), r)]
+
+    def extend(family, start):
+        for i in range(start, len(subsets)):
+            if not any(c < subsets[i] for c in family):
+                yield ChannelSystem(q, family + [subsets[i]])
+                yield from extend(family + [subsets[i]], i + 1)
+
+    return extend([], 0)
+
+
 def chebyshev_U(i: int, x):
     """Chebyshev polynomial of the second kind, U_0 = 1, U_1 = 2x.
 

@@ -26,6 +26,7 @@ from colorcap import (
 )
 from colorcap.cli import TABLE_SYSTEMS
 from helpers import (
+    antichains,
     chebyshev_U,
     chebyshev_W,
     composition_count_path,
@@ -83,17 +84,8 @@ def test_criterion_1_table_reproduction():
 
 
 def _irreducible_families(q):
-    letters = list(range(1, q + 1))
-    subsets = []
-    for r in range(1, q + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(letters, r))
-    for tsize in range(2, len(subsets) + 1):
-        for combo in itertools.combinations(subsets, tsize):
-            if any(a < b or b < a for a, b in itertools.combinations(combo, 2)):
-                continue
-            system = ChannelSystem(q, combo)
-            if len(separable_split(system)) > 1:
-                continue
+    for system in antichains(q):
+        if len(system.channels) > 1 and len(separable_split(system)) == 1:
             yield system
 
 

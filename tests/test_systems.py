@@ -34,7 +34,7 @@ from colorcap import (
     verify_pairs_equality,
 )
 from helpers import (
-    brute_max_clique, pairs, reference_classify, reference_remove_dominated,
+    antichains, brute_max_clique, pairs, reference_classify, reference_remove_dominated,
     reference_separable_split, restrict_alphabet,
 )
 
@@ -292,6 +292,17 @@ def test_max_clique_weighs_letters_of_one_channel_like_brute_force(q, channels, 
     system = ChannelSystem(q, channels)
     assert classify(system) == General()
     assert max_clique(system) == frozenset(clique) == brute_max_clique(system)
+
+
+def test_max_clique_matches_brute_force_on_every_antichain():
+    # every system of pairwise incomparable channels over q <= 5: each shape,
+    # and every General leaf small enough to check exhaustively
+    checked = 0
+    for q in (2, 3, 4, 5):
+        for system in antichains(q):
+            checked += 1
+            assert max_clique(system) == brute_max_clique(system), system
+    assert checked == 4 + 18 + 166 + 7579
 
 
 def test_max_clique_searches_only_the_letters_two_channels_share(monkeypatch):
