@@ -1,16 +1,11 @@
 """Capacity bounds where no exact formula is known.
 
-For an irreducible system the clique number of the pairs graph sandwiches
-the capacity: a clique of co-occurring letters is transmitted losslessly,
-and a counting argument caps the rate at log_q(omega * t * e).  Two sets,
-sunflowers and paths take the clique from their largest channel; other
-leaves search it over the letter classes that two or more channels share,
-read off the channels, never over edges: a letter of one channel lies in no
-clique larger than its channel.  The search is a Carraghan-Pardalos branch
-and bound with a Bron-Kerbosch pivot; its frames hold a clique's letters and
-candidates but no excluded set, as a non-maximal clique is never the largest.
-Cycles of 2-set channels get a tailored sandwich: the cycle contains a path
-(lower) and its pairs graph sits inside a (2,1,2)-sunflower's (upper).
+For an irreducible system the clique number omega of the pairs graph
+sandwiches the capacity: a clique of co-occurring letters is transmitted
+losslessly, and a counting argument caps the rate at log_q(omega * t * e).
+omega is the size of systems.max_clique.  Cycles of 2-set channels get a
+tailored sandwich: the cycle contains a path (lower) and its pairs graph
+sits inside a (2,1,2)-sunflower's (upper).
 """
 
 from __future__ import annotations
@@ -28,10 +23,10 @@ def bounds_general(system: ChannelSystem) -> CapacityResult:
     """Clique-number sandwich log_q(omega) <= ccap <= log_q(omega * t * e).
 
     Requires an irreducible system with t >= 2, by the guard it shares with
-    verify_pairs_equality.  The upper end is clamped to 1, the trivial cap for
-    any system.  This is also the General leaf of bounds() and capacity(),
-    and the two-set, sunflower and path leaf of bounds(), where max_clique
-    reads omega off the channels instead of searching.
+    verify_pairs_equality.  omega is the size of systems.max_clique.  The
+    upper end is clamped to 1, the trivial cap for any system.  This is the
+    General leaf of bounds() and capacity(), and the two-set, sunflower and
+    path leaf of bounds().
     """
     _require_irreducible(system, "clique sandwich")
     clique = max_clique(system)

@@ -116,17 +116,17 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     """One maximum clique of the pairs graph (lexicographically least among
     the largest).
 
-    TwoSets, Sunflower, Path and Cycle systems read it off their channels:
-    letters of different petals (or of different sets) share no channel, and
-    a path or a cycle of t >= 4 two-sets has no triangle, so every maximal
-    clique is a channel and the answer is the least of the largest channels.
-    Every other class is searched over the letter classes held by two or
-    more channels (a letter of one channel is simplicial: no clique through
-    it beats its channel): a Carraghan-Pardalos branch and bound, pivoting
-    like Bron-Kerbosch on the candidate of highest degree, whose stack
-    frames hold a clique's letters and its candidates.  It needs no excluded
-    set: a clique that is not maximal is smaller than one containing it.
-    The best starts as the least largest channel.  A child is pushed if it
+    Every channel is a clique, so the answer starts as the least largest
+    channel ({1} if that has one letter).  TwoSets, Sunflower, Path and
+    Cycle systems stop there: letters of different petals (or of different
+    sets) share no channel, and a path or a cycle of t >= 4 two-sets has no
+    triangle, so every maximal clique is a channel.  Every other class is
+    searched over the letter classes held by two or more channels (a letter
+    of one channel is simplicial: no clique through it beats its channel):
+    a Carraghan-Pardalos branch and bound, pivoting like Bron-Kerbosch on
+    the candidate of highest degree, whose stack frames hold a clique's
+    letters and its candidates.  It needs no excluded set: a clique that is
+    not maximal is smaller than one containing it.  A child is pushed if it
     has candidates and could beat the best; any other that could tie or
     beat it must take every candidate, so if they are pairwise adjacent
     (always, when there are none) that clique is compared in place.
@@ -134,24 +134,23 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     """
     known = system._known
     if "max_clique" not in known:
-        if isinstance(classify(system), (TwoSets, Sunflower, Path, Cycle)):
-            known["max_clique"] = frozenset(
-                min((-len(ch), sorted(ch)) for ch in system.channels)[1])
-        else:
-            known["max_clique"] = _max_clique(system)
+        known["max_clique"] = _max_clique(system)
     return known["max_clique"]
 
 
 def _max_clique(system: ChannelSystem) -> frozenset[int]:
+    # every channel is a clique; a shape has no other maximal clique
+    best: tuple[int, list[int]] = min((-len(ch), sorted(ch)) for ch in system.channels)
+    if isinstance(classify(system), (TwoSets, Sunflower, Path, Cycle)):
+        return frozenset(best[1])
+    # a single letter of the graph on [q] is a clique too
+    best = min(best, (-1, [1]))
     # a clique through a letter of one channel lies in that channel, and
     # every channel is a candidate for the starting best: join shared classes
     members, adj = _class_graph(system, {
         idx: letters for idx, letters in _letter_classes(_holders(system)).items()
         if len(idx) > 1})
     size, degree = list(map(len, members)), list(map(len, adj))
-    # every channel is a clique, and so is a single letter of the graph on [q]
-    best: tuple[int, list[int]] = min(
-        (-1, [1]), *((-len(ch), sorted(ch)) for ch in system.channels))
     stack = [([], set(range(len(adj))))] if adj else []
     while stack:
         r, p = stack.pop()

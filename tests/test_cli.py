@@ -237,6 +237,7 @@ def test_reconstruct_bad_views_schema_exit_2(tmp_path):
         stdin=_doc(3, [[1, 2, 3]]),
     )
     assert proc.returncode == 2
+    assert proc.stderr == "error: --channel 9 out of range 1..1\n"
     # unknown fields are refused and named, at the top and in a view entry
     good = {"pair": [1, 2], "word": [1, 2]}
     for views, field in [
@@ -425,6 +426,10 @@ ONE_CHANNEL = {"q": 3, "channels": [[1, 2, 3]]}
                  id="empty-channels"),
     pytest.param({"q": 3, "channels": {"1": [1]}}, None,
                  '"channels" must be a non-empty list', id="channels-not-a-list"),
+    pytest.param({"q": 3, "channels": [[1], []]}, None, "channels[1] must be a non-empty list",
+                 id="empty-channel"),
+    pytest.param({"q": 3, "channels": [[1], 5]}, None, "channels[1] must be a non-empty list",
+                 id="channel-not-a-list"),
     pytest.param(ONE_CHANNEL, [], 'views document must be an object with a "views" list',
                  id="views-not-an-object"),
     pytest.param(ONE_CHANNEL, {}, 'views document must be an object with a "views" list',
@@ -438,6 +443,12 @@ ONE_CHANNEL = {"q": 3, "channels": [[1, 2, 3]]}
     pytest.param(ONE_CHANNEL, {"views": [[1, 2]]},
                  'views[0] must be an object with "pair" and "word"',
                  id="entry-not-an-object"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 1], "word": [1]}]},
+                 "views[0].pair must be two distinct letters in 1..3", id="pair-repeats-a-letter"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 4], "word": [1]}]},
+                 "views[0].pair must be two distinct letters in 1..3", id="pair-off-the-alphabet"),
+    pytest.param(ONE_CHANNEL, {"views": [{"pair": [1], "word": [1]}]},
+                 "views[0].pair must be two distinct letters in 1..3", id="pair-of-one-letter"),
     pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 2], "word": "12"}]},
                  "views[0].word must be a list of integers", id="word-not-a-list"),
     pytest.param(ONE_CHANNEL, {"views": [{"pair": [1, 2], "word": [1, True]}]},

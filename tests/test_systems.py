@@ -590,11 +590,12 @@ def test_classify_and_clique_run_once_per_instance(monkeypatch):
             bounds(system)
             for leaf, _cls in _leaves(system):
                 max_clique(leaf)
-        # every system of the walk is classified once; only General leaves
-        # build a class graph and search it, once each
-        general = [leaf for leaf, cls in _leaves(system) if isinstance(cls, General)]
+        # every system of the walk is classified once; every leaf takes its
+        # clique once, and only General leaves build a class graph to search
+        leaves = _leaves(system)
+        general = [leaf for leaf, cls in leaves if isinstance(cls, General)]
         assert _same_instances(classified, _walk(system))
-        assert _same_instances(searched, general)
+        assert _same_instances(searched, [leaf for leaf, _cls in leaves])
         assert _same_instances(built, general)
 
 
