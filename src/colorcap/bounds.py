@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .capacity import CapacityResult, _dispatch, capacity_path, capacity_single
-from .channels import ChannelSystem
+from .channels import ChannelSystem, _check_alphabet, _is_int
 from .systems import (
     Cycle, FullClique, SingleChannel, SystemClass, _require_irreducible, max_clique,
 )
@@ -46,9 +46,12 @@ def bounds_cycle(t: int, q: int) -> CapacityResult:
     is 1/rho for the root rho = 2 - sqrt(3) of (1 - rho)^2 = 2 rho; for t >= 5
     the four-letter alphabet of any window caps the rate at log_q 4.
     """
-    if t < 4:
+    _check_alphabet(q)
+    if t == 3 and _is_int(t):
         raise ValueError("a cycle of 3 channels has a complete pairs graph; "
                          "classify the system instead of bounding it")
+    if not _is_int(t) or t < 4:
+        raise ValueError(f"a cycle's channel count must be an integer >= 4, got {t!r}")
     if t > q:
         raise ValueError(f"a cycle of {t} channels needs {t} letters, "
                          f"alphabet has {q}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .channels import ChannelSystem, Record
+from .channels import ChannelSystem, Record, _check_alphabet, _is_int
 from .systems import (
     Path, Reducible, Separable, Sunflower, SystemClass, TwoSets, classify,
 )
@@ -62,10 +62,9 @@ class CapacityResult(Record):
 
 def capacity_single(size: int, q: int) -> CapacityResult:
     """A single channel of the given size transmits log_q(size) exactly."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {q}")
-    if not 1 <= size <= q:
-        raise ValueError(f"channel size must lie in 1..{q}, got {size}")
+    _check_alphabet(q)
+    if not _is_int(size) or not 1 <= size <= q:
+        raise ValueError(f"channel size must be an integer in 1..{q}, got {size!r}")
     return CapacityResult("exact", "single_channel", value=math.log(size, q),
                           witness={"size": size})
 
@@ -81,8 +80,9 @@ def capacity_sunflower(k: int, p: int, t: int, q: int) -> CapacityResult:
     fraction of input symbols drawn from the petals,
         y* = P / (k + P)  with  P = t p (1 - p rho)^(t-1).
     """
-    if min(k, p, t) < 1:
-        raise ValueError(f"need k, p, t >= 1, got ({k}, {p}, {t})")
+    _check_alphabet(q)
+    if not all(map(_is_int, (k, p, t))) or min(k, p, t) < 1:
+        raise ValueError(f"need integers k, p, t >= 1, got ({k!r}, {p!r}, {t!r})")
     if k + t * p > q:
         raise ValueError(f"a ({k},{p},{t})-sunflower needs {k + t * p} letters, "
                          f"alphabet has {q}")
@@ -108,8 +108,9 @@ def capacity_two_sets(k: int, p1: int, p2: int, q: int) -> CapacityResult:
     The input fraction of petal-i letters is
         x_i* = 1/2 - (k + p_j - p_i) / (2 d).
     """
-    if min(k, p1, p2) < 1:
-        raise ValueError(f"need k, p1, p2 >= 1, got ({k}, {p1}, {p2})")
+    _check_alphabet(q)
+    if not all(map(_is_int, (k, p1, p2))) or min(k, p1, p2) < 1:
+        raise ValueError(f"need integers k, p1, p2 >= 1, got ({k!r}, {p1!r}, {p2!r})")
     if k + p1 + p2 > q:
         raise ValueError(f"two sets with parameters ({k},{p1},{p2}) need "
                          f"{k + p1 + p2} letters, alphabet has {q}")
@@ -131,8 +132,8 @@ def path_profile(t: int) -> tuple[float, list[float], list[float]]:
     alpha*_i is the optimal input frequency of the i-th path letter; the
     ratios satisfy r*_{t-1} = 1/(m* - 1) at the far endpoint.
     """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    if not _is_int(t) or t < 2:
+        raise ValueError(f"need an integer t >= 2, got {t!r}")
     m = 2.0 + 2.0 * math.cos(2.0 * math.pi / (t + 3))
     r = [m - 1.0]
     for _ in range(t - 1):
@@ -151,10 +152,11 @@ def capacity_path(t: int, q: int) -> CapacityResult:
     The value is log_q(m*) with m* from path_profile, whose alpha* is the
     optimizing letter profile.  A 2-path is a (1,1,2)-sunflower.
     """
-    if t + 1 > q:
+    _check_alphabet(q)
+    if _is_int(t) and t + 1 > q:
         raise ValueError(f"a path of {t} channels needs {t + 1} letters, "
                          f"alphabet has {q}")
-    m, r, alpha = path_profile(t)
+    m, r, alpha = path_profile(t)  # refuses a t that is not an integer >= 2
     return CapacityResult("exact", "path", value=math.log(m, q),
                           witness={"t": t, "m_star": m, "r_star": r,
                                    "alpha_star": alpha})

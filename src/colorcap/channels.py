@@ -16,6 +16,17 @@ from collections.abc import Iterable, Sequence, Set
 Word = tuple[int, ...]
 
 
+def _is_int(x) -> bool:
+    """Whether x counts as an integer argument: an int, but not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_alphabet(q) -> None:
+    """Refuse an alphabet size that is not an integer >= 2."""
+    if not _is_int(q) or q < 2:
+        raise ValueError(f"alphabet size must be an integer >= 2, got {q!r}")
+
+
 class Record:
     """Immutable value object whose fields are its instance dict.
 
@@ -59,16 +70,14 @@ class ChannelSystem(Record):
     __slots__ = ("_known",)
 
     def __init__(self, q: int, channels: Iterable[Iterable[int]]):
-        if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-            raise ValueError(f"alphabet size must be an integer >= 2, got {q!r}")
+        _check_alphabet(q)
         normalized = tuple(frozenset(c) for c in channels)
         if not normalized:
             raise ValueError("a channel system needs at least one channel")
         for i, ch in enumerate(normalized):
             if not ch:
                 raise ValueError(f"channel {i + 1} is empty")
-            bad = [a for a in ch if not isinstance(a, int) or isinstance(a, bool)
-                   or not 1 <= a <= q]
+            bad = [a for a in ch if not _is_int(a) or not 1 <= a <= q]
             if bad:
                 raise ValueError(
                     f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}")

@@ -18,7 +18,7 @@ from decimal import Decimal
 
 from .bounds import bounds
 from .capacity import CapacityResult, capacity
-from .channels import ChannelSystem
+from .channels import ChannelSystem, _is_int
 from .oracle import (
     DEFAULT_BUDGET, BudgetExceededError, ReconstructionError, count_outputs,
     count_sweep, reconstruct_view, verify_pairs_equality,
@@ -48,7 +48,7 @@ def parse_system_document(obj) -> tuple[ChannelSystem, dict]:
     if "q" not in obj:
         raise SchemaError('missing field "q"')
     q = obj["q"]
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+    if not _is_int(q) or q < 2:
         raise SchemaError(f'"q" must be an integer >= 2, got {q!r}')
     if "channels" not in obj:
         raise SchemaError('missing field "channels"')
@@ -60,7 +60,7 @@ def parse_system_document(obj) -> tuple[ChannelSystem, dict]:
             raise SchemaError(f"channels[{i}] must be a non-empty list")
         seen = set()
         for j, a in enumerate(ch):
-            if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= q:
+            if not _is_int(a) or not 1 <= a <= q:
                 raise SchemaError(f"channels[{i}][{j}]: letter {a!r} outside 1..{q}")
             if a in seen:
                 raise SchemaError(f"channels[{i}]: duplicate letter {a}")
@@ -131,8 +131,8 @@ def class_dict(cls: SystemClass) -> dict:
         elif isinstance(value, tuple):
             value = [system_dict(c) for c in value]
         out[name] = value
-    if isinstance(cls, TwoSets) and cls.sunflower_equivalent is not None:
-        out["sunflower_equivalent"] = dict(vars(cls.sunflower_equivalent))
+    if isinstance(cls, TwoSets) and cls.p1 == cls.p2:
+        out["sunflower_equivalent"] = {"k": cls.k, "p": cls.p1, "t": 2}
     return out
 
 
@@ -248,14 +248,12 @@ def cmd_reconstruct(args) -> dict:
             raise SchemaError(f'views[{i}] must be an object with "pair" and "word"')
         pair = entry["pair"]
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(a, int) and not isinstance(a, bool)
-                           and 1 <= a <= system.q for a in pair)
+                or not all(_is_int(a) and 1 <= a <= system.q for a in pair)
                 or pair[0] == pair[1]):
             raise SchemaError(f"views[{i}].pair must be two distinct letters "
                               f"in 1..{system.q}")
         word = entry["word"]
-        if not isinstance(word, list) or not all(
-                isinstance(a, int) and not isinstance(a, bool) for a in word):
+        if not isinstance(word, list) or not all(map(_is_int, word)):
             raise SchemaError(f"views[{i}].word must be a list of integers")
         key = frozenset(pair)
         if key in pair_views:

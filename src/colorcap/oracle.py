@@ -9,12 +9,7 @@ exactly when they are one trace of the trace monoid whose dependence graph
 is the pairs graph.  count_outputs therefore counts traces through their
 lexicographically least words (Anisimov-Knuth), which a small automaton
 recognizes.  The exhaustive counter _levels, which stores every distinct
-output, checks that lemma through verify_pairs_equality.  It keys an output
-by its views, each ended by a separator of its own channel, so appending a
-letter to the views that hold it is one bytes.replace per channel, mapped
-over chunks of keys in C.  reconstruct_view codes the view of each letter
-pair as bytes, 0 for the smaller letter and 1 for the larger; when both
-letters are ints in 0..255, one bytes.translate codes it in C.
+output, checks that lemma through verify_pairs_equality.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import operator
 import time
 from collections.abc import Iterable, Iterator, Mapping
 
-from .channels import ChannelSystem, Record
+from .channels import ChannelSystem, Record, _is_int
 from .systems import (
     _class_graph, _holders, _letter_classes, _require_irreducible, edge_system,
 )
@@ -178,12 +173,11 @@ def _reports(system: ChannelSystem, lengths: Iterable[int], budget: int | None,
 def _check_args(n, budget) -> None:
     # _reports looks for n among the lengths 0, 1, 2, ..., which never end,
     # and reads the budget's bit_length
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError(f"block length must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"block length must be >= 0, got {n}")
-    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool)
-                               or budget < 0):
+    if budget is not None and (not _is_int(budget) or budget < 0):
         raise ValueError(f"budget must be None or an integer >= 0, got {budget!r}")
 
 

@@ -207,10 +207,6 @@ class TwoSets(SystemClass):
     def __init__(self, k: int, p1: int, p2: int):
         self.__dict__.update(k=k, p1=p1, p2=p2)
 
-    @property
-    def sunflower_equivalent(self) -> Sunflower | None:
-        return Sunflower(self.k, self.p1, 2) if self.p1 == self.p2 else None
-
 
 class Path(SystemClass):
     """t channels {s0,s1}, {s1,s2}, ..., {s_{t-1},s_t} on t+1 distinct letters."""

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -113,10 +114,28 @@ def test_cycle_bounds_long():
 
 
 def test_cycle_bounds_rejects_triangle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complete pairs graph"):
         bounds_cycle(3, 4)
     with pytest.raises(ValueError):
         bounds_cycle(5, 4)  # needs q >= t
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["t", "q"])
+@pytest.mark.parametrize("bad", [2.5, True, "3", 4.0],
+                         ids=["float", "bool", "str", "whole_float"])
+def test_cycle_bounds_refuse_non_integer_parameters(position, bad):
+    args = [4, 4]
+    bounds_cycle(*args)
+    args[position] = bad
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        bounds_cycle(*args)
+
+
+@pytest.mark.parametrize("t", [4.5, 3.0, 2, True])
+def test_cycle_bounds_give_other_channel_counts_their_own_text(t):
+    with pytest.raises(ValueError, match="channel count must be an integer >= 4") as info:
+        bounds_cycle(t, 6)
+    assert "complete pairs graph" not in str(info.value)
 
 
 def test_cycle_empirical_sandwich():

@@ -7,6 +7,7 @@ being trusted here; they are not copied from the implementation under test.
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -361,6 +362,28 @@ def test_parameter_validation():
         capacity_single(5, 4)
     with pytest.raises(ValueError, match="two sets with parameters"):
         capacity_two_sets(1, 1, 2, 3)  # needs q >= k + p1 + p2
+
+
+# one valid call of each closed form on q = 4; every argument is an integer
+# parameter or the alphabet size
+VALID_CALLS = {
+    "capacity_single": (capacity_single, (2, 4)),
+    "capacity_sunflower": (capacity_sunflower, (1, 1, 2, 4)),
+    "capacity_two_sets": (capacity_two_sets, (1, 1, 2, 4)),
+    "path_profile": (path_profile, (3,)),
+    "capacity_path": (capacity_path, (3, 4)),
+}
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, i) for name, (_, args) in VALID_CALLS.items() for i in range(len(args))])
+@pytest.mark.parametrize("bad", [2.5, True, "3", 4.0],
+                         ids=["float", "bool", "str", "whole_float"])
+def test_closed_forms_refuse_non_integer_parameters(name, position, bad):
+    fn, args = VALID_CALLS[name]
+    fn(*args)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        fn(*args[:position], bad, *args[position + 1:])
 
 
 @given(

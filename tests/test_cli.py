@@ -112,6 +112,31 @@ def test_parse_rejects_bad_documents():
         parse_system_document({"q": 4, "channels": [[1]], "label": 7})
 
 
+def _refuses(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value, q_ok, letter_ok", [
+    (True, False, False), (False, False, False), (2.5, False, False),
+    ("4", False, False), (None, False, False), (1, False, True), (4, True, True)])
+def test_cli_and_library_refuse_the_same_alphabet_sizes_and_letters(
+        value, q_ok, letter_ok):
+    # one integer rule serves both: SchemaError in the document, ValueError
+    # in the constructor, for exactly the same values
+    assert (_refuses(lambda: ChannelSystem(value, [[1]]), ValueError)
+            == _refuses(lambda: parse_system_document({"q": value, "channels": [[1]]}),
+                        SchemaError)
+            == (not q_ok))
+    assert (_refuses(lambda: ChannelSystem(4, [[value]]), ValueError)
+            == _refuses(lambda: parse_system_document({"q": 4, "channels": [[value]]}),
+                        SchemaError)
+            == (not letter_ok))
+
+
 def test_classify_round_trip():
     proc = _run("classify", stdin=_doc(4, [[1, 2], [2, 3], [3, 4]], label="p3"))
     assert proc.returncode == 0, proc.stderr
