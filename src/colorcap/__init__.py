@@ -20,8 +20,8 @@ from .oracle import (
 )
 from .systems import (
     Cycle, FullClique, General, Path, Reducible, Separable, SingleChannel,
-    Sunflower, SystemClass, TwoSets, classify, edge_system, max_clique,
-    remove_dominated, separable_split,
+    Sunflower, SystemClass, TwoSets, classify, max_clique, remove_dominated,
+    separable_split,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "capacity_two_sets",
     "classify",
     "count_outputs",
-    "edge_system",
     "max_clique",
     "path_profile",
     "reconstruct_view",

@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--sweep", action="store_true",
                       help="report every length 1..N")
     enum.add_argument("--verify-pairs", action="store_true", dest="verify_pairs",
-                      help="also count the pairs-graph edge system "
-                           "exhaustively and compare")
+                      help="also count the system exhaustively and compare "
+                           "with the pairs-graph count")
     enum.add_argument("--budget", type=int, default=None, metavar="B",
                       help=f"cap on q^N, the number of words a count covers "
                            f"(default {DEFAULT_BUDGET})")

@@ -8,8 +8,9 @@ By the projection lemma (Cori-Perrin), two words give the same outputs
 exactly when they are one trace of the trace monoid whose dependence graph
 is the pairs graph.  count_outputs therefore counts traces through their
 lexicographically least words (Anisimov-Knuth), which a small automaton
-recognizes.  The exhaustive counter _levels, which stores every distinct
-output, checks that lemma through verify_pairs_equality.
+recognizes.  verify_pairs_equality checks that lemma: it compares that
+count with the exhaustive counter _levels, which stores every distinct
+output of the system itself.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 
 from .channels import ChannelSystem, Record, _is_int
-from .systems import (
-    _class_graph, _holders, _letter_classes, _require_irreducible, edge_system,
-)
+from .systems import _class_graph, _holders, _letter_classes, _require_irreducible
 
 DEFAULT_BUDGET = 200_000_000
 _CHUNK = 1024  # keys _levels extends per batch of C-level replaces
@@ -150,14 +149,14 @@ def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
         level = extended
 
 
-def _reports(system: ChannelSystem, lengths: Iterable[int], budget: int | None,
-             counts: Iterator[int]) -> Iterator[EnumerationReport]:
-    """One report per length, lengths increasing, from one pass over counts,
-    the counts at lengths 0, 1, 2, ...; each checks its budget before any
-    work, and its elapsed is the time since the pass began."""
+def _reports(system: ChannelSystem, lengths: Iterable[int],
+             budget: int | None) -> Iterator[EnumerationReport]:
+    """One report per length, lengths increasing, from one pass over
+    _outputs(system); each checks its budget before any work, and its
+    elapsed is the time since the pass began."""
     limit = DEFAULT_BUDGET if budget is None else budget
     start = time.perf_counter()
-    indexed = enumerate(counts)
+    indexed = enumerate(_outputs(system))
     for n in lengths:
         # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
         states = system.q ** n if n < limit.bit_length() else None
@@ -189,7 +188,7 @@ def count_outputs(system: ChannelSystem, n: int, *,
     DEFAULT_BUDGET states).
     """
     _check_args(n, budget)
-    return next(_reports(system, [n], budget, _outputs(system)))
+    return next(_reports(system, [n], budget))
 
 
 def count_sweep(system: ChannelSystem, n: int, *,
@@ -200,7 +199,7 @@ def count_sweep(system: ChannelSystem, n: int, *,
     BudgetExceededError at the first length whose q^n exceeds the budget.
     """
     _check_args(n, budget)
-    return _reports(system, range(1, n + 1), budget, _outputs(system))
+    return _reports(system, range(1, n + 1), budget)
 
 
 class ReconstructionError(ValueError):
@@ -310,17 +309,15 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple:
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
                           budget: int | None = None) -> bool:
-    """Whether the system and its pairs-graph edge system have equal counts.
+    """Whether the system's pairs-graph count equals its exhaustive count.
 
     For an irreducible system with t >= 2 channels the two counts agree for
-    every n; others fail the guard shared with bounds_general.  It counts both
-    systems itself: the system with count_outputs, then the edge system
-    exhaustively (_levels), so the check does not rest on the trace counting
-    it tests.
+    every n; others fail the guard shared with bounds_general.  It counts the
+    system twice itself: with count_outputs, which reads only the pairs
+    graph, then exhaustively (_levels), over its distinct outputs at each
+    length up to n.
     """
     _check_args(n, budget)
     _require_irreducible(system, "pairs equality")
-    edges = edge_system(system)
     count = count_outputs(system, n, budget=budget).count
-    exhaustive = _reports(edges, [n], budget, map(len, _levels(edges)))
-    return count == next(exhaustive).count
+    return count == len(next(itertools.islice(_levels(system), n, None)))

@@ -6,7 +6,7 @@ share no letters across two groups act independently, so systems split into
 separable components.  For an irreducible system the pairs graph, whose
 edges are the 2-subsets co-occurring inside some channel, carries everything
 that matters for counting distinguishable outputs.  Every test here reads one
-map, letter -> channels holding it; only edge_system lists pairs-graph edges.
+map, letter -> channels holding it, and none lists pairs-graph edges.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ def _letter_classes(holders: dict[int, list[int]]) -> dict[frozenset[int], list[
     for a, idx in holders.items():
         classes.setdefault(frozenset(idx), []).append(a)
     return classes
-
-
-def edge_system(system: ChannelSystem) -> ChannelSystem:
-    """The system whose channels are the pairs graph's edges, in lexicographic order."""
-    edges = {e for ch in system.channels for e in itertools.combinations(sorted(ch), 2)}
-    if not edges:
-        raise ValueError("pairs graph has no edges")
-    return ChannelSystem(system.q, sorted(edges))
 
 
 def _class_graph(

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from colorcap import (
     ChannelSystem, Cycle, FullClique, General, Path, Reducible, Separable,
-    SingleChannel, Sunflower, SystemClass, TwoSets, apply_system,
+    SingleChannel, Sunflower, SystemClass, TwoSets, apply_system, separable_split,
 )
 
 
@@ -109,6 +109,15 @@ def pairs(system: ChannelSystem) -> set[tuple[int, int]]:
             for pair in itertools.combinations(sorted(ch), 2)}
 
 
+def edge_system(system: ChannelSystem) -> ChannelSystem:
+    """The system whose channels are the pairs graph's edges, in lexicographic
+    order: an irreducible system's counts, by the pairs-graph theorem."""
+    edges = pairs(system)
+    if not edges:
+        raise ValueError("pairs graph has no edges")
+    return ChannelSystem(system.q, sorted(edges))
+
+
 def brute_max_clique(system: ChannelSystem) -> frozenset[int]:
     """The lexicographically least largest subset of [q] whose pairs all
     share a channel, by trying every subset; {1} when there is no edge."""
@@ -138,6 +147,24 @@ def antichains(q: int):
                 yield from extend(family + [subsets[i]], i + 1)
 
     return extend([], 0)
+
+
+def irreducible_families(q: int):
+    """Every antichain over [q] with two or more channels that does not
+    split: 4 of them at q = 3 and 99 at q = 4."""
+    for system in antichains(q):
+        if system.t > 1 and len(separable_split(system)) == 1:
+            yield system
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def chebyshev_U(i: int, x):

@@ -19,18 +19,19 @@ from colorcap import (
     capacity_sunflower,
     capacity_two_sets,
     count_outputs,
-    edge_system,
     path_profile,
     reconstruct_view,
     separable_split,
 )
 from colorcap.cli import TABLE_SYSTEMS
 from helpers import (
-    antichains,
     chebyshev_U,
     chebyshev_W,
     composition_count_path,
     composition_count_sunflower,
+    compositions,
+    edge_system,
+    irreducible_families,
     reference_count,
     restrict_alphabet,
 )
@@ -83,16 +84,11 @@ def test_criterion_1_table_reproduction():
     _report(1, "table reproduction", failures, elapsed, 1.0)
 
 
-def _irreducible_families(q):
-    for system in antichains(q):
-        if len(system.channels) > 1 and len(separable_split(system)) == 1:
-            yield system
-
-
 def test_criterion_2_pairs_graph_equality():
-    # count_outputs counts traces of the pairs graph, so it gives a system
-    # and its edge system equal counts by construction; the edge system is
-    # therefore counted word by word
+    # the theorem by brute force on both sides: the system and its edge
+    # system, each counted word by word, agree, and count_outputs, which
+    # reads only the pairs graph, gives the same count.  Many systems share
+    # one edge system, so its counts are cached
     failures = []
     counts = {}
 
@@ -105,11 +101,12 @@ def test_criterion_2_pairs_graph_equality():
     start = time.perf_counter()
     families = 0
     for q in (2, 3, 4):
-        for system in _irreducible_families(q):
+        for system in irreducible_families(q):
             families += 1
             edges = edge_system(system)
             for n in range(1, 7):
-                if count_outputs(system, n).count != counted(edges, n):
+                if not (reference_count(system, n) == counted(edges, n)
+                        == count_outputs(system, n).count):
                     failures.append(
                         f"q={q} {sorted(map(sorted, system.channels))} n={n}"
                     )
@@ -119,30 +116,21 @@ def test_criterion_2_pairs_graph_equality():
             elapsed, 600.0)
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def test_criterion_3_composition_sums():
     cases = [
         ("sunflower(1,1,2)", ChannelSystem(3, [[1, 2], [1, 3]]),
          lambda n: sum(
              composition_count_sunflower(1, 1, 2, i, j1)
-             for j1 in range(n + 1) for i in _compositions(n - j1, 2)
+             for j1 in range(n + 1) for i in compositions(n - j1, 2)
          )),
         ("sunflower(2,1,2)", ChannelSystem(4, [[1, 2, 3], [1, 2, 4]]),
          lambda n: sum(
              composition_count_sunflower(2, 1, 2, i, j1)
-             for j1 in range(n + 1) for i in _compositions(n - j1, 2)
+             for j1 in range(n + 1) for i in compositions(n - j1, 2)
          )),
         ("path(3)", ChannelSystem(4, [[1, 2], [2, 3], [3, 4]]),
          lambda n: sum(
-             composition_count_path(a) for a in _compositions(n, 4)
+             composition_count_path(a) for a in compositions(n, 4)
          )),
     ]
     failures = []

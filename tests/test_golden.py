@@ -26,7 +26,8 @@ with open(os.path.join(GOLDEN, "systems.json"), encoding="utf-8") as _handle:
 DOCS = {entry["name"]: entry["doc"] for entry in SYSTEMS}
 
 # (system name, flags) for each enumerate run; both sunflower-star sweeps are
-# cut by their budgets, the last one before n = 1
+# cut by their budgets, the second before n = 1; sunflower-k2 checks the pairs
+# equality on 3-letter channels with letters in no channel
 ENUMERATE = [
     ("path-3", ["--n", "4", "--sweep", "--verify-pairs"]),
     ("cycle-4", ["--n", "5"]),
@@ -36,6 +37,7 @@ ENUMERATE = [
     ("sunflower-star", ["--n", "8", "--sweep", "--budget", "500"]),
     ("cycle-4", ["--n", "4", "--verify-pairs"]),
     ("sunflower-star", ["--n", "3", "--sweep", "--budget", "0"]),
+    ("sunflower-k2", ["--n", "4", "--verify-pairs"]),
 ]
 
 

@@ -18,7 +18,6 @@ from colorcap import (
     ReconstructionError,
     apply_channel,
     count_outputs,
-    edge_system,
     reconstruct_view,
     remove_dominated,
     separable_split,
@@ -30,19 +29,12 @@ from colorcap.oracle import count_sweep
 from helpers import (
     composition_count_path,
     composition_count_sunflower,
+    compositions,
+    edge_system,
+    irreducible_families,
     reference_count,
     restrict_alphabet,
 )
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def test_count_small_examples():
@@ -368,25 +360,8 @@ def test_monotone_in_added_channel():
 # pairs-graph equality
 
 
-def _irreducible_families(q):
-    letters = list(range(1, q + 1))
-    subsets = []
-    for r in range(1, q + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(letters, r))
-    out = []
-    for tsize in range(2, len(subsets) + 1):
-        for combo in itertools.combinations(subsets, tsize):
-            if any(a < b or b < a for a, b in itertools.combinations(combo, 2)):
-                continue
-            system = ChannelSystem(q, combo)
-            if len(separable_split(system)) > 1:
-                continue
-            out.append(system)
-    return out
-
-
 def test_pairs_equality_exhaustive_q3():
-    families = _irreducible_families(3)
+    families = list(irreducible_families(3))
     assert len(families) == 4
     for system in families:
         for n in range(1, 9):
@@ -423,6 +398,26 @@ def test_pairs_equality_reports_unequal_counts(monkeypatch):
     assert not verify_pairs_equality(system, 5)
 
 
+def test_pairs_equality_reports_an_unequal_exhaustive_count(monkeypatch):
+    # the exhaustive side is the system's own: one extra key at every level
+    # must make the check fail
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    assert verify_pairs_equality(system, 5)
+    real = oracle._levels
+    monkeypatch.setattr(oracle, "_levels", lambda counted: (
+        level | {b"extra"} for level in real(counted)))
+    assert not verify_pairs_equality(system, 5)
+
+
+def test_pairs_equality_counts_its_own_argument_exhaustively(monkeypatch):
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    seen, real = [], oracle._levels
+    monkeypatch.setattr(oracle, "_levels",
+                        lambda counted: seen.append(counted) or real(counted))
+    assert verify_pairs_equality(system, 4)
+    assert len(seen) == 1 and seen[0] is system
+
+
 def _enumerate(argv, system):
     """(exit code, stdout, stderr) of `colorcap enumerate` in this process."""
     stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
@@ -454,8 +449,8 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     code, out, _ = _enumerate(["--n", "6", "--verify-pairs", *sweep], system)
     assert code == 0 and json.loads(out)["pairs_equal"] is True
     # the system by the engine for the report and again for the check, then
-    # its 5-edge system exhaustively, once
-    assert counted == [("engine", 2), ("engine", 2), ("exhaustive", 5)]
+    # the same 2-channel system exhaustively, once
+    assert counted == [("engine", 2), ("engine", 2), ("exhaustive", 2)]
 
 
 def test_verify_pairs_with_a_letter_in_no_channel():
@@ -468,6 +463,17 @@ def test_verify_pairs_with_a_letter_in_no_channel():
     last = doc["enumeration"][-1]
     assert (last["n"], last["count"]) == (5, "791")
     assert reference_count(system, 5) == 791
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep"]])
+def test_verify_pairs_on_wide_channels_with_a_letter_in_no_channel(sweep):
+    # 3-letter channels, so the system is not its own edge system, and
+    # letter 6 lies in no channel
+    system = ChannelSystem(6, [[1, 2, 3], [3, 4, 5], [5, 1, 2]])
+    code, out, _ = _enumerate(["--n", "4", "--verify-pairs", *sweep], system)
+    doc = json.loads(out)
+    assert code == 0 and doc["pairs_equal"] is True
+    assert doc["enumeration"][-1]["count"] == str(reference_count(system, 4))
 
 
 def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
@@ -520,14 +526,14 @@ def test_composition_count_path_examples():
 def _sunflower_sum(k, p, t, n):
     total = 0
     for j1 in range(n + 1):
-        for i in _compositions(n - j1, t):
+        for i in compositions(n - j1, t):
             total += composition_count_sunflower(k, p, t, i, j1)
     return total
 
 
 def _path_sum(t, n):
     return sum(
-        composition_count_path(a) for a in _compositions(n, t + 1)
+        composition_count_path(a) for a in compositions(n, t + 1)
     )
 
 

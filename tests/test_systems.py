@@ -27,7 +27,6 @@ from colorcap import (
     capacity,
     classify,
     count_outputs,
-    edge_system,
     max_clique,
     remove_dominated,
     separable_split,
@@ -35,8 +34,8 @@ from colorcap import (
 )
 from colorcap.cli import class_dict
 from helpers import (
-    antichains, brute_max_clique, pairs, reference_classify, reference_remove_dominated,
-    reference_separable_split, restrict_alphabet,
+    antichains, brute_max_clique, edge_system, pairs, reference_classify,
+    reference_remove_dominated, reference_separable_split, restrict_alphabet,
 )
 
 
@@ -506,10 +505,10 @@ def test_clique_and_trace_counter_read_one_class_graph(monkeypatch):
     assert graphs == [system]
 
 
-@pytest.mark.parametrize("check", [
-    bounds_general, lambda system: verify_pairs_equality(system, 3),
+@pytest.mark.parametrize("check, maps", [
+    (bounds_general, 2), (lambda system: verify_pairs_equality(system, 3), 3),
 ], ids=["bounds_general", "verify_pairs_equality"])
-def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
+def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check, maps):
     builds, build = [], colorcap.systems._holders
     # the trace counter builds the letter map it hands to the class graph
     for module in (colorcap.systems, colorcap.oracle):
@@ -520,10 +519,11 @@ def test_irreducibility_guards_build_the_letter_map_once(monkeypatch, check):
     with pytest.raises(ValueError, match="irreducible"):
         check(split)
     assert builds == [split]
-    # an irreducible one passes it on to one class graph
+    # an irreducible one passes it on: classify and one class graph, and for
+    # the pairs equality the exhaustive counter's letter map too
     system = ChannelSystem(5, [[1, 2, 3], [3, 4], [4, 5], [5, 1]])
     check(system)
-    assert builds.count(system) == 2
+    assert builds[1:] == [system] * maps
 
 
 @pytest.mark.parametrize("check, what", [
