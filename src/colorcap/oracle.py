@@ -46,7 +46,8 @@ class EnumerationReport(Record):
 
 
 def _traces(system: ChannelSystem) -> Iterator[int]:
-    """The number of traces of lengths 0, 1, 2, ... over the visible letters.
+    """The number of distinct outputs at lengths 0, 1, 2, ..., from the traces
+    over the visible letters (the letters some channel holds).
 
     Letters held by the same channels (a letter class) commute with the same
     letters and never with each other, so with the classes in a fixed order
@@ -57,7 +58,9 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
     Level k maps each state to its number of normal forms of length k, so it
     holds at most T_k states.  T_(k+1) is read off level k as the sum over
     its states of count * |letters not in S|, and level k+1 is built only
-    when a longer length is asked for.
+    when a longer length is asked for.  A letter in no channel erases itself,
+    so when there is one, the outputs at length n are the traces of every
+    length up to n.
     """
     members, adj = _class_graph(system, _letter_classes(_holders(system)))
     steps, by_size = [], {}
@@ -71,10 +74,12 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
         return visible - sum(size * (state & mask).bit_count()
                              for size, mask in by_size.items())
 
-    level = {0: 1}
-    yield 1
+    level, outputs = {0: 1}, 1
+    yield outputs
     while True:
-        yield sum(count * allowed(state) for state, count in level.items())
+        traces = sum(count * allowed(state) for state, count in level.items())
+        outputs = outputs + traces if visible < system.q else traces
+        yield outputs
         extended: dict[int, int] = {}
         for state, count in level.items():
             for bit, indep, low, size in steps:
@@ -82,17 +87,6 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
                     key = state & indep | low
                     extended[key] = extended.get(key, 0) + count * size
         level = extended
-
-
-def _outputs(system: ChannelSystem) -> Iterator[int]:
-    """The number of distinct outputs at lengths 0, 1, 2, ....
-
-    A letter in no channel erases itself, so when there is one, the outputs
-    at length n are the traces of every length up to n.
-    """
-    if len(system.letters) == system.q:
-        return _traces(system)
-    return itertools.accumulate(_traces(system))
 
 
 def _codes(m: int) -> list[bytes]:
@@ -152,11 +146,11 @@ def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
 def _reports(system: ChannelSystem, lengths: Iterable[int],
              budget: int | None) -> Iterator[EnumerationReport]:
     """One report per length, lengths increasing, from one pass over
-    _outputs(system); each checks its budget before any work, and its
+    _traces(system); each checks its budget before any work, and its
     elapsed is the time since the pass began."""
     limit = DEFAULT_BUDGET if budget is None else budget
     start = time.perf_counter()
-    indexed = enumerate(_outputs(system))
+    indexed = enumerate(_traces(system))
     for n in lengths:
         # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
         states = system.q ** n if n < limit.bit_length() else None

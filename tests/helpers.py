@@ -1,7 +1,12 @@
 """Helpers shared by several test modules; pytest collects nothing here."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import sys
+import tracemalloc
 from collections import Counter
 from math import comb, prod
 from typing import Sequence
@@ -10,6 +15,37 @@ from colorcap import (
     ChannelSystem, Cycle, FullClique, General, Path, Reducible, Separable,
     SingleChannel, Sunflower, SystemClass, TwoSets, apply_system, separable_split,
 )
+from colorcap.cli import main, system_dict
+
+
+def run_cli(argv, doc=None) -> tuple:
+    """(exit code, stdout, stderr) of colorcap.cli.main(argv) in this process.
+
+    A doc, a JSON document or a ChannelSystem, is read from stdin; without
+    one stdin is left as it is.  argparse's SystemExit gives the exit code.
+    """
+    if isinstance(doc, ChannelSystem):
+        doc = system_dict(doc)
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    if doc is not None:
+        sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def peak(fn) -> tuple:
+    """(fn(), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import pytest
 
@@ -16,7 +15,7 @@ from colorcap import (
     count_outputs,
     max_clique,
 )
-from helpers import entropy, pairs
+from helpers import entropy, pairs, peak
 
 # oracle counts for the 4-cycle over q=4, frozen from exhaustive enumeration
 CYCLE_4_COUNTS = {
@@ -57,15 +56,10 @@ def test_general_lower_is_largest_clique_channel():
 def test_general_bounds_memory_follows_channels_not_pairs():
     # two sets whose pairs graph has ~30,000 edges: one 200-letter clique
     system = ChannelSystem(300, [range(1, 201), range(101, 301)])
-    tracemalloc.start()
-    try:
-        result = bounds(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak_bytes = peak(lambda: bounds(system))
     assert result.witness["omega"] == 200
     assert result.witness["clique"] == list(range(1, 201))
-    assert peak < 10**6
+    assert peak_bytes < 10**6
 
 
 def test_cycle_bounds_are_valid_intervals():

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -18,6 +16,7 @@ from colorcap.cli import (
     COMMANDS, SchemaError, format_sig, main, parse_system_document, system_dict,
 )
 from colorcap.oracle import BudgetExceededError, ReconstructionError
+from helpers import run_cli
 
 PKG = "colorcap"
 
@@ -329,17 +328,6 @@ def test_main_returns_int():
     assert main(["table", "--which", "q3", "--output", "/dev/null"]) == 0
 
 
-def _main(argv):
-    """(exit code, stdout, stderr) of an in-process run; argparse exits count."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def _assert_rejected(code, stdout, stderr, expected):
     assert code == expected, stderr
     assert stdout == ""
@@ -369,7 +357,7 @@ PATH2 = {"q": 3, "channels": [[1, 2], [2, 3]]}
 def test_rejections_exit_with_one_line_error(tmp_path, flags, content, code):
     src = tmp_path / "system.json"
     src.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
-    _assert_rejected(*_main([*flags, "--input", str(src)]), code)
+    _assert_rejected(*run_cli([*flags, "--input", str(src)]), code)
 
 
 @pytest.mark.parametrize("flags, text", [
@@ -381,7 +369,7 @@ def test_length_and_budget_refusals_read_the_library_text(tmp_path, flags, text)
     # the CLI passes --n and --budget on unchecked; the library's refusal is the line
     src = tmp_path / "system.json"
     src.write_text(json.dumps(PATH2))
-    code, stdout, stderr = _main(["enumerate", *flags, "--input", str(src)])
+    code, stdout, stderr = run_cli(["enumerate", *flags, "--input", str(src)])
     _assert_rejected(code, stdout, stderr, 2)
     assert stderr == f"error: {text}\n"
 
@@ -390,8 +378,8 @@ def test_reconstruct_one_letter_channel_exit_2(tmp_path):
     src, views = tmp_path / "system.json", tmp_path / "views.json"
     src.write_text(_doc(3, [[1], [2, 3]]))
     views.write_text(json.dumps({"views": []}))
-    _assert_rejected(*_main(["reconstruct", "--input", str(src), "--channel", "1",
-                             "--views", str(views)]), 2)
+    _assert_rejected(*run_cli(["reconstruct", "--input", str(src), "--channel", "1",
+                               "--views", str(views)]), 2)
 
 
 def test_reconstruct_repeated_pair_exit_2(tmp_path):
@@ -403,8 +391,8 @@ def test_reconstruct_repeated_pair_exit_2(tmp_path):
         {"pair": [1, 3], "word": [1, 3]},
         {"pair": [2, 3], "word": [2, 3]},
     ]}))
-    code, stdout, stderr = _main(["reconstruct", "--input", str(src), "--channel", "1",
-                                  "--views", str(views)])
+    code, stdout, stderr = run_cli(["reconstruct", "--input", str(src), "--channel", "1",
+                                    "--views", str(views)])
     _assert_rejected(code, stdout, stderr, 2)
     assert stderr.startswith("error: views[1]")
 
@@ -413,20 +401,20 @@ def test_repeated_key_exit_2(tmp_path):
     # json.loads alone would keep the last value: classify at q=9, word [2, 1]
     src, views = tmp_path / "system.json", tmp_path / "views.json"
     src.write_text('{"q": 4, "channels": [[1, 2], [2, 3]], "q": 9}')
-    code, stdout, stderr = _main(["classify", "--input", str(src)])
+    code, stdout, stderr = run_cli(["classify", "--input", str(src)])
     _assert_rejected(code, stdout, stderr, 2)
     assert stderr == f"error: repeated key 'q' in {src}\n"
     src.write_text(_doc(2, [[1, 2]]))
     views.write_text('{"views": [{"pair": [1, 2], "word": [1, 2], "word": [2, 1]}]}')
-    code, stdout, stderr = _main(["reconstruct", "--input", str(src), "--channel", "1",
-                                  "--views", str(views)])
+    code, stdout, stderr = run_cli(["reconstruct", "--input", str(src), "--channel", "1",
+                                    "--views", str(views)])
     _assert_rejected(code, stdout, stderr, 2)
     assert stderr == f"error: repeated key 'word' in {views}\n"
 
 
 def test_unwritable_output_exit_2(tmp_path):
     out = tmp_path / "missing" / "result.json"
-    _assert_rejected(*_main(["table", "--which", "q3", "--output", str(out)]), 2)
+    _assert_rejected(*run_cli(["table", "--which", "q3", "--output", str(out)]), 2)
 
 
 @pytest.mark.parametrize("refusal, given, code", [
@@ -439,7 +427,7 @@ def test_a_refusal_subclass_exits_with_its_base_code(monkeypatch, refusal, given
     def refuse(args):
         raise exc
     monkeypatch.setitem(COMMANDS, "table", refuse)
-    assert _main(["table", "--which", "q3"]) == (code, "", f"error: {exc}\n")
+    assert run_cli(["table", "--which", "q3"]) == (code, "", f"error: {exc}\n")
 
 
 ONE_CHANNEL = {"q": 3, "channels": [[1, 2, 3]]}
@@ -488,7 +476,7 @@ def test_document_shape_refusals(tmp_path, system, views, stem):
         views_file.write_text(json.dumps(views))
         argv = ["reconstruct", "--input", str(src), "--channel", "1",
                 "--views", str(views_file)]
-    code, stdout, stderr = _main(argv)
+    code, stdout, stderr = run_cli(argv)
     _assert_rejected(code, stdout, stderr, 2)
     assert stderr.startswith(f"error: {stem}"), stderr
 
@@ -517,7 +505,7 @@ def test_each_command_classifies_a_system_once(tmp_path, monkeypatch, flags, con
         src = tmp_path / "system.json"
         src.write_text(json.dumps(content))
         flags = [*flags, "--input", str(src)]
-    code, stdout, stderr = _main(flags)
+    code, stdout, stderr = run_cli(flags)
     assert code == 0, stderr
     given = [content] if content else [row["system"] for row in json.loads(stdout)["rows"]]
     classified = [system_dict(system) for system in calls]
@@ -530,7 +518,7 @@ def test_main_calls_in_one_process_carry_no_state(tmp_path):
     src.write_text(json.dumps(PATH2))
 
     def run(*flags):
-        code, stdout, stderr = _main([*flags, "--input", str(src)])
+        code, stdout, stderr = run_cli([*flags, "--input", str(src)])
         return code, json.loads(stdout) if code == 0 else None, stderr
 
     classify = run("classify")
@@ -547,9 +535,9 @@ def test_main_calls_in_one_process_carry_no_state(tmp_path):
     # the budget of 500 stays with the calls that gave it: 3^6 = 729 counts
     assert run("enumerate", "--n", "6")[0] == 0
 
-    _assert_rejected(*_main(["enumerate", "--n", "abc", "--input", str(src)]), 2)
+    _assert_rejected(*run_cli(["enumerate", "--n", "abc", "--input", str(src)]), 2)
     assert run("classify") == classify
-    code, stdout, _ = _main(["--help"])
+    code, stdout, _ = run_cli(["--help"])
     assert code == 0 and stdout.startswith("usage: colorcap")
     assert run("classify") == classify
 
@@ -626,7 +614,7 @@ def test_every_invocation_ends_with_a_documented_exit_code(invocation):
         for name, content in (("system.json", system_bytes), ("views.json", views_bytes)):
             with open(os.path.join(tmp, name), "wb") as handle:
                 handle.write(content)
-        code, stdout, stderr = _main([a.replace("{dir}", tmp) for a in argv])
+        code, stdout, stderr = run_cli([a.replace("{dir}", tmp) for a in argv])
     assert code in (0, 2, 3, 4)
     if code:
         _assert_rejected(code, stdout, stderr, code)

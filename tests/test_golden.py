@@ -9,15 +9,12 @@ output, rewrite the expected files with
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
-import io
 import json
 import os
-import sys
 
 import pytest
 
-from colorcap.cli import main
+from helpers import run_cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -42,15 +39,9 @@ ENUMERATE = [
 
 
 def _stdout(argv, doc=None) -> str:
-    stdin, out = sys.stdin, io.StringIO()
-    sys.stdin = io.StringIO(json.dumps(doc))
-    try:
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-    finally:
-        sys.stdin = stdin
+    code, out, _ = run_cli(argv, doc)
     assert code == 0, f"{argv} exited {code}"
-    return out.getvalue()
+    return out
 
 
 def _without_elapsed(text: str) -> str:

@@ -1,11 +1,7 @@
-import contextlib
-import io
 import itertools
 import json
 import math
 import random
-import sys
-import tracemalloc
 import types
 
 import pytest
@@ -24,7 +20,6 @@ from colorcap import (
     verify_pairs_equality,
 )
 from colorcap import cli, oracle
-from colorcap.cli import main
 from colorcap.oracle import count_sweep
 from helpers import (
     composition_count_path,
@@ -32,8 +27,10 @@ from helpers import (
     compositions,
     edge_system,
     irreducible_families,
+    peak,
     reference_count,
     restrict_alphabet,
+    run_cli,
 )
 
 
@@ -161,13 +158,16 @@ def test_count_matches_word_by_word_reference(case):
 def test_count_matches_reference_on_every_small_system():
     # every sequence of one to three channels over q = 3, so every order of
     # the letter classes the engine keys its states by; [{1}, {2}, {1, 3}]
-    # needs the state to carry the forbidden {2} across the letter 1
+    # needs the state to carry the forbidden {2} across the letter 1; the
+    # exhaustive counter meets the same systems, reducible and separable ones too
     subsets = [c for r in (1, 2, 3) for c in itertools.combinations([1, 2, 3], r)]
     for t in (1, 2, 3):
         for channels in itertools.product(subsets, repeat=t):
             system = ChannelSystem(3, channels)
-            assert [r.count for r in count_sweep(system, 4)] == [
-                reference_count(system, n) for n in range(1, 5)], channels
+            want = [reference_count(system, n) for n in range(5)]
+            assert [r.count for r in count_sweep(system, 4)] == want[1:], channels
+            sizes = [len(level) for _, level in zip(want, oracle._levels(system))]
+            assert sizes == want, channels
 
 
 def test_count_over_multibyte_letter_codes():
@@ -283,15 +283,6 @@ def test_count_wide_path():
     assert count_outputs(system, 2).count == q**2 - (math.comb(q, 2) - (q - 1))
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _exhaustive_count(system, n):
     return next(len(level) for i, level in enumerate(oracle._levels(system)) if i == n)
 
@@ -300,8 +291,8 @@ def test_count_memory_stays_near_one_level():
     # each level is emptied while the next is built, so the peak stays near
     # the largest level, which the word-by-word reference also holds
     system = ChannelSystem(4, [[1, 2, 3, 4]])
-    exhaustive = _peak_bytes(lambda: _exhaustive_count(system, 8))
-    reference = _peak_bytes(lambda: reference_count(system, 8))
+    _, exhaustive = peak(lambda: _exhaustive_count(system, 8))
+    _, reference = peak(lambda: reference_count(system, 8))
     assert exhaustive <= 1.1 * reference
 
 
@@ -313,8 +304,8 @@ def test_exhaustive_memory_with_many_channels_stays_near_the_reference(channels)
     # every channel ends its view with a separator, one byte more per key
     # than the reference's; on these short keys that costs 3-6% of the peak
     system = edge_system(ChannelSystem(4, channels))
-    exhaustive = _peak_bytes(lambda: _exhaustive_count(system, 8))
-    reference = _peak_bytes(lambda: reference_count(system, 8))
+    _, exhaustive = peak(lambda: _exhaustive_count(system, 8))
+    _, reference = peak(lambda: reference_count(system, 8))
     assert exhaustive <= 1.1 * reference
 
 
@@ -322,8 +313,8 @@ def test_engine_memory_stays_far_below_the_outputs():
     # a lossless system has one letter class and one automaton state, while
     # the reference holds all 4^8 outputs: the engine needs under 1% of that
     system = ChannelSystem(4, [[1, 2, 3, 4]])
-    engine = _peak_bytes(lambda: count_outputs(system, 8))
-    reference = _peak_bytes(lambda: reference_count(system, 8))
+    _, engine = peak(lambda: count_outputs(system, 8))
+    _, reference = peak(lambda: reference_count(system, 8))
     assert engine <= reference / 100
 
 
@@ -335,8 +326,8 @@ def test_reconstruct_memory_stays_near_the_views():
     channel = frozenset(range(1, 7))
     x = tuple(rng.choices(sorted(channel), k=100_000))
     views = _views(x, channel)
-    peak = _peak_bytes(lambda: reconstruct_view(views, channel))
-    assert peak < 3_000_000
+    _, peak_bytes = peak(lambda: reconstruct_view(views, channel))
+    assert peak_bytes < 3_000_000
 
 
 def test_dominated_removal_count_invariance():
@@ -418,19 +409,6 @@ def test_pairs_equality_counts_its_own_argument_exhaustively(monkeypatch):
     assert len(seen) == 1 and seen[0] is system
 
 
-def _enumerate(argv, system):
-    """(exit code, stdout, stderr) of `colorcap enumerate` in this process."""
-    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(json.dumps(
-        {"q": system.q, "channels": [sorted(c) for c in system.channels]}))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["enumerate", *argv])
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("sweep", [[], ["--sweep"]])
 def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
@@ -446,7 +424,7 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     monkeypatch.setattr(cli, "count_outputs", spy(cli.count_outputs, "engine"))
     monkeypatch.setattr(cli, "count_sweep", spy(cli.count_sweep, "engine"))
     monkeypatch.setattr(oracle, "_levels", spy(oracle._levels, "exhaustive"))
-    code, out, _ = _enumerate(["--n", "6", "--verify-pairs", *sweep], system)
+    code, out, _ = run_cli(["enumerate", "--n", "6", "--verify-pairs", *sweep], system)
     assert code == 0 and json.loads(out)["pairs_equal"] is True
     # the system by the engine for the report and again for the check, then
     # the same 2-channel system exhaustively, once
@@ -457,7 +435,7 @@ def test_verify_pairs_with_a_letter_in_no_channel():
     # letter 5 lies in no channel, so the exhaustive counter's step for it
     # changes no view
     system = ChannelSystem(5, [[1, 2], [2, 3], [3, 4], [4, 1]])
-    code, out, _ = _enumerate(["--n", "5", "--verify-pairs"], system)
+    code, out, _ = run_cli(["enumerate", "--n", "5", "--verify-pairs"], system)
     doc = json.loads(out)
     assert code == 0 and doc["pairs_equal"] is True
     last = doc["enumeration"][-1]
@@ -470,7 +448,7 @@ def test_verify_pairs_on_wide_channels_with_a_letter_in_no_channel(sweep):
     # 3-letter channels, so the system is not its own edge system, and
     # letter 6 lies in no channel
     system = ChannelSystem(6, [[1, 2, 3], [3, 4, 5], [5, 1, 2]])
-    code, out, _ = _enumerate(["--n", "4", "--verify-pairs", *sweep], system)
+    code, out, _ = run_cli(["enumerate", "--n", "4", "--verify-pairs", *sweep], system)
     doc = json.loads(out)
     assert code == 0 and doc["pairs_equal"] is True
     assert doc["enumeration"][-1]["count"] == str(reference_count(system, 4))
@@ -479,8 +457,8 @@ def test_verify_pairs_on_wide_channels_with_a_letter_in_no_channel(sweep):
 def test_verify_pairs_after_a_cut_sweep_refuses_at_n():
     system = ChannelSystem(4, [[1, 2], [1, 3], [1, 4]])
     budget = ["--budget", str(4**7)]
-    swept = _enumerate(["--n", "8", "--sweep", "--verify-pairs", *budget], system)
-    single = _enumerate(["--n", "8", "--verify-pairs", *budget], system)
+    swept = run_cli(["enumerate", "--n", "8", "--sweep", "--verify-pairs", *budget], system)
+    single = run_cli(["enumerate", "--n", "8", "--verify-pairs", *budget], system)
     assert swept[0] == single[0] == 3
     assert swept[1] == single[1] == ""
     assert swept[2] == single[2] == (
@@ -562,15 +540,9 @@ def test_composition_sum_three_petals():
 
 def _sweep(system, n, *flags):
     """The JSON document of `colorcap enumerate --sweep` on the system."""
-    stdin, out = sys.stdin, io.StringIO()
-    sys.stdin = io.StringIO(json.dumps(
-        {"q": system.q, "channels": [sorted(c) for c in system.channels]}))
-    try:
-        with contextlib.redirect_stdout(out):
-            assert main(["enumerate", "--n", str(n), "--sweep", *flags]) == 0
-    finally:
-        sys.stdin = stdin
-    return json.loads(out.getvalue())
+    code, out, _ = run_cli(["enumerate", "--n", str(n), "--sweep", *flags], system)
+    assert code == 0
+    return json.loads(out)
 
 
 def test_sweep_full_channel_rate_one():

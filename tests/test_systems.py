@@ -3,7 +3,6 @@ import itertools
 import random
 import sys
 import time
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +33,7 @@ from colorcap import (
 )
 from colorcap.cli import class_dict
 from helpers import (
-    antichains, brute_max_clique, edge_system, pairs, reference_classify,
+    antichains, brute_max_clique, edge_system, pairs, peak, reference_classify,
     reference_remove_dominated, reference_separable_split, restrict_alphabet,
 )
 
@@ -195,14 +194,9 @@ def test_clique_number_edgeless():
 
 def test_max_clique_memory_follows_edges_not_alphabet():
     system = ChannelSystem(10**5, [[1, 2], [2, 3], [1, 3], [1, 4]])
-    tracemalloc.start()
-    try:
-        clique = max_clique(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    clique, peak_bytes = peak(lambda: max_clique(system))
     assert clique == frozenset({1, 2, 3})
-    assert peak < 10**6
+    assert peak_bytes < 10**6
 
 
 def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
@@ -210,14 +204,9 @@ def test_max_clique_memory_stays_flat_over_many_maximal_cliques():
     matching = {(a, a + 1) for a in range(1, 24, 2)}
     edges = set(itertools.combinations(range(1, 25), 2)) - matching
     system = ChannelSystem(24, sorted(edges))
-    tracemalloc.start()
-    try:
-        clique = max_clique(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    clique, peak_bytes = peak(lambda: max_clique(system))
     assert clique == frozenset(range(1, 25, 2))
-    assert peak < 10**6
+    assert peak_bytes < 10**6
 
 
 def test_max_clique_does_not_recurse_per_clique_letter():
@@ -225,15 +214,12 @@ def test_max_clique_does_not_recurse_per_clique_letter():
     system = ChannelSystem(301, [range(1, 301), [300, 301], [301, 1]])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
-    tracemalloc.start()
     try:
-        clique = max_clique(system)
-        _, peak = tracemalloc.get_traced_memory()
+        clique, peak_bytes = peak(lambda: max_clique(system))
     finally:
-        tracemalloc.stop()
         sys.setrecursionlimit(limit)
     assert clique == frozenset(range(1, 301))
-    assert peak < 10**6
+    assert peak_bytes < 10**6
 
 
 @pytest.mark.parametrize("q, channels", [
