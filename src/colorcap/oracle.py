@@ -22,7 +22,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 
 from .channels import ChannelSystem, Record, _is_int
-from .systems import _class_graph, _holders, _letter_classes, _require_irreducible
+from .systems import _holders, _letter_classes, _require_irreducible
 
 DEFAULT_BUDGET = 200_000_000
 _CHUNK = 1024  # keys _levels extends per batch of C-level replaces
@@ -55,20 +55,29 @@ def _traces(system: ChannelSystem) -> Iterator[int]:
     least words runs on classes.  Its state is the set S of classes that may
     not come next, as a bitmask; a letter of class c, not in S, moves it to
     indep(c) & (S | below(c)), where below(c) is the classes before c.
-    Level k maps each state to its number of normal forms of length k, so it
-    holds at most T_k states.  T_(k+1) is read off level k as the sum over
-    its states of count * |letters not in S|, and level k+1 is built only
-    when a longer length is asked for.  A letter in no channel erases itself,
-    so when there is one, the outputs at length n are the traces of every
-    length up to n.
+    Classes depend exactly when they share a channel, so each channel's
+    classes are one bitmask and c's dependence mask is the OR of its
+    channels' masks; no class graph is built.  Level k maps each state to
+    its number of normal forms of length k, so it holds at most T_k states.
+    T_(k+1) is read off level k as the sum over its states of
+    count * |letters not in S|, and level k+1 is built only when a longer
+    length is asked for.  A letter in no channel erases itself, so when
+    there is one, the outputs at length n are the traces of every length up
+    to n.
     """
-    members, adj = _class_graph(system, _letter_classes(_holders(system)))
+    classes = _letter_classes(_holders(system))
+    holds = [0] * system.t  # each channel's classes, as a bitmask
+    for c, idx in enumerate(classes):
+        for i in idx:
+            holds[i] |= 1 << c
     steps, by_size = [], {}
-    for c, (letters, near) in enumerate(zip(members, adj)):
-        dep = sum(1 << d for d in near) | 1 << c  # the classes c does not commute with
+    for c, (idx, letters) in enumerate(classes.items()):
+        dep = 0  # the classes c does not commute with: those sharing a channel
+        for i in idx:
+            dep |= holds[i]
         steps.append((1 << c, ~dep, ((1 << c) - 1) & ~dep, len(letters)))
         by_size[len(letters)] = by_size.get(len(letters), 0) | 1 << c
-    visible = sum(map(len, members))
+    visible = sum(map(len, classes.values()))
 
     def allowed(state: int) -> int:
         return visible - sum(size * (state & mask).bit_count()

@@ -35,12 +35,13 @@ def remove_dominated(system: ChannelSystem) -> ChannelSystem:
 
 
 def _remove_dominated(system: ChannelSystem, holders: dict[int, list[int]]) -> ChannelSystem:
-    chans, kept = system.channels, []
-    for i, ch in enumerate(chans):
-        # any channel holding ch also holds ch's least-held letter
-        rarest = min(ch, key=lambda a: len(holders[a]))
-        if not any(ch < chans[j] or (ch == chans[j] and j < i) for j in holders[rarest]):
-            kept.append(ch)
+    chans = system.channels
+    # the first copy of each channel, by hash; only a channel smaller than
+    # the largest can lie strictly inside another, and any channel holding
+    # it also holds its least-held letter
+    top = max(map(len, chans))
+    kept = [ch for ch in dict.fromkeys(chans) if len(ch) == top or not any(
+        ch < chans[j] for j in min(map(holders.__getitem__, ch), key=len))]
     return system if len(kept) == len(chans) else ChannelSystem(system.q, kept)
 
 

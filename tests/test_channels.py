@@ -54,8 +54,11 @@ def test_system_validation():
         ChannelSystem(3, [])
     with pytest.raises(ValueError):
         ChannelSystem(3, [[]])
-    with pytest.raises(ValueError, match="channel 2"):
-        ChannelSystem(3, [[1], [0]])
+    # a letter equal to 1 but not an int: the union of the letters would
+    # keep the 1 and drop it, so each channel is checked on its own
+    for bad in ([0], [1.0], [True]):
+        with pytest.raises(ValueError, match="channel 2"):
+            ChannelSystem(3, [[1], bad])
     with pytest.raises(ValueError):
         ChannelSystem(3, [[4]])
 

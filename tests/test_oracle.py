@@ -318,6 +318,17 @@ def test_engine_memory_stays_far_below_the_outputs():
     assert engine <= reference / 100
 
 
+def test_count_memory_on_the_pendant_system_stays_small():
+    # one 2,000-letter channel and a 2-set from each of its letters to a
+    # private letter: the channel's 2,000 classes are pairwise dependent,
+    # about 130 MB as neighbour sets and about 6 MB as per-channel bitmasks
+    m = 2000
+    system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)])
+    report, peak_bytes = peak(lambda: count_outputs(system, 1))
+    assert report.count == 2 * m
+    assert peak_bytes < 20_000_000
+
+
 def test_reconstruct_memory_stays_near_the_views():
     # the views coded as bytes, one byte a symbol, one list of slots for the
     # word, one running list of gaps per letter and one view's runs at a
