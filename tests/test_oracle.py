@@ -189,21 +189,49 @@ def test_exhaustive_levels_match_word_by_word_reference(case):
     assert sizes == [reference_count(system, i) for i in range(n + 1)]
 
 
-@pytest.mark.parametrize("system", [
-    # 1 separator + 255 letters = 256 byte values: one byte for each
-    ChannelSystem(255, [range(1, 256)]),
+@pytest.mark.parametrize("system, sep_width", [
+    # 1 separator + 254 letters = 255 byte values, all but the delimiter: one byte for each
+    (ChannelSystem(254, [range(1, 255)]), 1),
     # one letter more: separators of a 0 byte and an index, letter codes of two bytes
-    ChannelSystem(256, [range(1, 257)]),
-    ChannelSystem(300, [range(1, 281), range(200, 301)]),
+    (ChannelSystem(255, [range(1, 256)]), 2),
+    (ChannelSystem(256, [range(1, 257)]), 2),
+    (ChannelSystem(300, [range(1, 281), range(200, 301)]), 2),
     # 256 channels need two-byte separator indices too
-    ChannelSystem(257, [[i, i + 1] for i in range(1, 257)]),
-], ids=["one-byte-255", "wide-256", "wide-300", "path-256-channels"])
-def test_exhaustive_levels_over_wide_alphabets_and_many_channels(system):
-    sizes = [len(level) for _, level in zip(range(3), oracle._levels(system))]
+    (ChannelSystem(257, [[i, i + 1] for i in range(1, 257)]), 3),
+], ids=["one-byte-254", "wide-255", "wide-256", "wide-300", "path-256-channels"])
+def test_exhaustive_levels_over_wide_alphabets_and_many_channels(system, sep_width):
+    levels = oracle._levels(system)
+    (empty,) = next(levels)
+    assert len(empty) == sep_width * system.t
+    sizes = [1] + [len(level) for _, level in zip(range(2), levels)]
     assert sizes == [count_outputs(system, n).count for n in range(3)]
     if system.t == 256:
         # two letters lose their order only when they share no channel
         assert sizes[2] == 257**2 - (math.comb(257, 2) - 256) == 33_409
+
+
+@pytest.mark.parametrize("m, width", [
+    (1, 1), (253, 1), (254, 1), (255, 2), (254**2, 2), (254**2 + 1, 3)])
+def test_codes_are_distinct_of_one_width_and_avoid_the_reserved_bytes(m, width):
+    codes = oracle._codes(m)
+    assert len(set(codes)) == m
+    assert {len(code) for code in codes} == {width}
+    joined = b"".join(codes)
+    assert b"\0" not in joined and oracle._DELIM not in joined
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_exhaustive_levels_across_chunk_seams(monkeypatch, chunk):
+    # chunks of one and three keys put a seam between nearly every pair of
+    # keys, so a key lost or merged there shows on small systems
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for system in (
+        ChannelSystem(4, [[1, 2], [2, 3], [3, 4], [4, 1]]),
+        ChannelSystem(4, [[1, 2], [1, 3], [1, 4]]),
+        ChannelSystem(5, [[1, 2], [2, 3]]),  # letters 4 and 5 in no channel
+    ):
+        sizes = [len(level) for _, level in zip(range(6), oracle._levels(system))]
+        assert sizes == [reference_count(system, n) for n in range(6)], system
 
 
 def test_count_sweep_matches_count_outputs():
