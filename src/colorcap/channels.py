@@ -92,11 +92,6 @@ class ChannelSystem(Record):
     def t(self) -> int:
         return len(self.channels)
 
-    @property
-    def letters(self) -> frozenset[int]:
-        """Union of all channel letter sets (letters the system can see)."""
-        return frozenset().union(*self.channels)
-
 
 def apply_channel(word: Sequence[int], channel: Set[int]) -> Word:
     """Project a word onto a channel: keep symbols in the channel, in order."""

@@ -12,6 +12,7 @@ map, letter -> channels holding it, and none lists pairs-graph edges.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from .channels import ChannelSystem, Record
 
@@ -90,19 +91,119 @@ def _letter_classes(holders: dict[int, list[int]]) -> dict[frozenset[int], list[
     return classes
 
 
-def _class_graph(
-    system: ChannelSystem, classes: dict[frozenset[int], list[int]],
-) -> tuple[list[list[int]], list[set[int]]]:
-    """The pairs graph induced on the given letter classes of the system: each
-    class's letters, and the set of the other given classes that share a
-    channel with it (the class's neighbours), numbered in the map's order.
+# The masks are as wide as their highest bit, so those of n shared letters
+# take up to about n*n/8 bytes: 91 MB by tracemalloc on a 20,000-letter path.
+# Above this many shared letters the search runs once per class, on masks over
+# that class and its later neighbours only (11 MB on that path).  Below it one
+# search is faster: the split builds masks for every class, and on a dense
+# graph it scans every class's neighbourhood.
+_SPLIT = 2000
+
+
+def _clique_masks(
+    classes: dict[frozenset[int], list[int]],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The pairs graph induced on the given letter classes, as bitmasks with
+    one bit per letter, in letter order: the letters by bit; for each bit, its
+    class's bits and its neighbours' bits (the other given classes sharing a
+    channel with it); and the classes' lowest bits grouped by their number of
+    neighbours, most first.
     """
-    holds: list[set[int]] = [set() for _ in system.channels]
-    for c, idx in enumerate(classes):
+    letters = sorted(itertools.chain.from_iterable(classes.values()))
+    where = {a: i for i, a in enumerate(letters)}
+    own = [sum(1 << where[a] for a in members) for members in classes.values()]
+    holds: dict[int, int] = {}  # each channel's bits
+    for bits, idx in zip(own, classes):
         for i in idx:
-            holds[i].add(c)
-    adj = [set().union(*(holds[i] for i in idx)) - {c} for c, idx in enumerate(classes)]
-    return list(classes.values()), adj
+            holds[i] = holds.get(i, 0) | bits
+    lowest = sum(bits & -bits for bits in own)
+    own_of, adj_of, by_degree = [0] * len(letters), [0] * len(letters), {}
+    for bits, (idx, members) in zip(own, classes.items()):
+        adj = 0
+        for i in idx:
+            adj |= holds[i]
+        adj ^= bits
+        for a in members:
+            own_of[where[a]], adj_of[where[a]] = bits, adj
+        degree = (adj & lowest).bit_count()
+        by_degree[degree] = by_degree.get(degree, 0) | bits & -bits
+    return letters, own_of, adj_of, [by_degree[d] for d in sorted(by_degree, reverse=True)]
+
+
+def _search(classes: dict[frozenset[int], list[int]], first: list[int],
+            best: tuple[int, list[int]]) -> tuple[int, list[int]]:
+    """The lesser of best, a clique as (-size, sorted letters), and the
+    lexicographically least largest clique of the given classes; when first
+    holds letters, only cliques holding their class count.  Past _SPLIT
+    letters a search with no first runs once per class instead."""
+    total = sum(map(len, classes.values()))
+    if total < -best[0] or total == -best[0] and sorted(
+            itertools.chain.from_iterable(classes.values())) >= best[1]:
+        # only all the letters together could tie, and they lose on order
+        return best
+    if total > _SPLIT and not first:
+        for neighbourhood, lead in _later_neighbourhoods(classes):
+            best = _search(neighbourhood, lead, best)
+        return best
+    letters, own, adj, levels = _clique_masks(classes)
+    size = -best[0]
+    r = own[letters.index(first[0])] if first else 0
+    found, stack = 0, [(r, (1 << len(letters)) - 1 ^ r)]
+    while stack:
+        r, p = stack.pop()
+        for level in levels:
+            if p & level:
+                break
+        pivot = p & level
+        todo = p & ~adj[(pivot & -pivot).bit_length() - 1]
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            # the child sees p after its earlier siblings left it
+            cr, cp = r | own[v], p & adj[v]
+            reach = (cr | cp).bit_count()
+            if cp and reach > size:
+                stack.append((cr, cp))
+            elif reach >= size and _pairwise(cp, own, adj):
+                # no candidate left to branch on, or a tie that must take them
+                # all; of equal sizes, the one holding the first letter they
+                # differ in comes first
+                cr |= cp
+                lead = cr ^ found
+                if reach > size or cr & lead & -lead:
+                    size, found = reach, cr
+            todo ^= own[v]
+            p ^= own[v]
+    if not found:
+        return best
+    return min(best, (-size, [a for a, bit in zip(letters, bin(found)[:1:-1]) if bit == "1"]))
+
+
+def _pairwise(p: int, own: list[int], adj: list[int]) -> bool:
+    """Whether the classes of bitmask p pairwise share a channel."""
+    rest = p
+    while rest:
+        u = (rest & -rest).bit_length() - 1
+        if (adj[u] | own[u]) & p != p:
+            return False
+        rest ^= own[u]
+    return True
+
+
+def _later_neighbourhoods(
+    classes: dict[frozenset[int], list[int]],
+) -> Iterator[tuple[dict[frozenset[int], list[int]], list[int]]]:
+    """Each class with a later neighbour in the map's order, as a class map of
+    the class and those neighbours, with the class's letters.  A clique lies
+    in the map of its first class and holds that class."""
+    rank = {idx: k for k, idx in enumerate(classes)}
+    inside: dict[int, list[frozenset[int]]] = {}  # each channel's classes
+    for idx in classes:
+        for i in idx:
+            inside.setdefault(i, []).append(idx)
+    for k, idx in enumerate(classes):
+        later = {u for i in idx for u in inside[i] if rank[u] > k}
+        if later:
+            yield {idx: classes[idx], **{u: classes[u] for u in later}}, classes[idx]
 
 
 def max_clique(system: ChannelSystem) -> frozenset[int]:
@@ -115,15 +216,25 @@ def max_clique(system: ChannelSystem) -> frozenset[int]:
     sets) share no channel, and a path or a cycle of t >= 4 two-sets has no
     triangle, so every maximal clique is a channel.  Every other class is
     searched over the letter classes held by two or more channels (a letter
-    of one channel is simplicial: no clique through it beats its channel):
-    a Carraghan-Pardalos branch and bound, pivoting like Bron-Kerbosch on
-    the candidate of highest degree, whose stack frames hold a clique's
-    letters and its candidates.  It needs no excluded set: a clique that is
-    not maximal is smaller than one containing it.  A child is pushed if it
-    has candidates and could beat the best; any other that could tie or
-    beat it must take every candidate, so if they are pairwise adjacent
-    (always, when there are none) that clique is compared in place.
-    Computed once per system instance; later calls return the same set.
+    of one channel is simplicial: no clique through it beats its channel).
+    Each of their letters gets one bit, in letter order; a class's mask ORs
+    its letters' bits, and its neighbour mask ORs its channels' masks less
+    its own bits.  When those letters are fewer than the best channel's, or
+    as many and no earlier in letter order, the channel is the answer.
+    Otherwise a Carraghan-Pardalos branch and bound runs on the masks,
+    pivoting like Bron-Kerbosch on the candidate class with the most
+    neighbour classes; its stack frames hold a clique's bits and its
+    candidates' bits.  It needs no excluded set: a clique that is not
+    maximal is smaller than one containing it.  A child is pushed if it has
+    candidates and could beat the best; any other that could tie or beat it
+    must take every candidate, so if they are pairwise adjacent (always,
+    when there are none) that clique is compared in place, and of two equal
+    sizes the one holding the lowest bit where they differ comes first.
+    Masks over n shared letters take about n*n/8 bytes, so above _SPLIT
+    shared letters the search runs once per class instead, on masks of that
+    class and its later neighbours: each clique is found under its first
+    class.  Computed once per system instance; later calls return the same
+    set.
     """
     known = system._known
     if "max_clique" not in known:
@@ -139,29 +250,10 @@ def _max_clique(system: ChannelSystem) -> frozenset[int]:
     # a single letter of the graph on [q] is a clique too
     best = min(best, (-1, [1]))
     # a clique through a letter of one channel lies in that channel, and
-    # every channel is a candidate for the starting best: join shared classes
-    members, adj = _class_graph(system, {
-        idx: letters for idx, letters in _letter_classes(_holders(system)).items()
-        if len(idx) > 1})
-    size, degree = list(map(len, members)), list(map(len, adj))
-    stack = [([], set(range(len(adj))))] if adj else []
-    while stack:
-        r, p = stack.pop()
-        pivot = max(p, key=degree.__getitem__)
-        for v in list(p - adj[pivot]):
-            # the child sees p after its earlier siblings left it
-            cr, cp = r + members[v], p & adj[v]
-            reach = len(cr) + sum(map(size.__getitem__, cp))
-            if cp and reach > -best[0]:
-                stack.append((cr, cp))
-            elif reach >= -best[0] and (not cp or all(
-                    len(adj[u] & cp) == len(cp) - 1 for u in cp)):
-                # no candidate left to branch on, or a tie that must take them all
-                for u in cp:
-                    cr += members[u]
-                best = min(best, (-reach, sorted(cr)))
-            p.remove(v)
-    return frozenset(best[1])
+    # every channel is a candidate for the starting best: search shared classes
+    shared = {idx: letters for idx, letters in _letter_classes(_holders(system)).items()
+              if len(idx) > 1}
+    return frozenset(_search(shared, [], best)[1])
 
 
 # ---------------------------------------------------------------------------

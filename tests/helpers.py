@@ -48,13 +48,18 @@ def peak(fn) -> tuple:
         tracemalloc.stop()
 
 
+def visible_letters(system: ChannelSystem) -> frozenset[int]:
+    """Union of all channel letter sets (the letters the system can see)."""
+    return frozenset().union(*system.channels)
+
+
 def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
     """Relabel the letters actually used onto 1..m, dropping unused ones.
 
     Output counts are invariant under the relabeling, so this is the right
     form for counting a separable component on its own letters.
     """
-    used = sorted(system.letters)
+    used = sorted(visible_letters(system))
     if len(used) < 2:
         raise ValueError("restriction needs at least 2 used letters")
     relabel = {a: i + 1 for i, a in enumerate(used)}

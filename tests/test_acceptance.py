@@ -32,6 +32,7 @@ from helpers import (
     compositions,
     edge_system,
     irreducible_families,
+    visible_letters,
     reference_count,
     restrict_alphabet,
 )
@@ -323,7 +324,7 @@ def test_criterion_8_separability_convolution():
         n = rng.randint(1, 7)
 
         def t_counts(component):
-            if len(component.letters) < 2:
+            if len(visible_letters(component)) < 2:
                 return [1] * (n + 1)
             small = restrict_alphabet(component)
             return [count_outputs(small, i).count for i in range(n + 1)]

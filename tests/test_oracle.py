@@ -27,6 +27,7 @@ from helpers import (
     compositions,
     edge_system,
     irreducible_families,
+    visible_letters,
     peak,
     reference_count,
     restrict_alphabet,
@@ -608,7 +609,7 @@ def test_sweep_rates_bounded_by_exact_value():
 
 
 def _restricted_counts(component, n):
-    if len(component.letters) < 2:
+    if len(visible_letters(component)) < 2:
         return [1] * (n + 1)
     small = restrict_alphabet(component)
     return [count_outputs(small, i).count for i in range(n + 1)]

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import random
@@ -35,6 +36,7 @@ from colorcap.cli import class_dict
 from helpers import (
     antichains, brute_max_clique, edge_system, pairs, peak, reference_classify,
     reference_remove_dominated, reference_separable_split, restrict_alphabet,
+    visible_letters,
 )
 
 
@@ -139,7 +141,7 @@ def test_separable_split_partitions_channels():
             map(sorted, system.channels)
         )
         for a, b in itertools.combinations(parts, 2):
-            assert not (a.letters & b.letters)
+            assert not (visible_letters(a) & visible_letters(b))
 
 
 def test_restrict_alphabet_relabels():
@@ -241,13 +243,11 @@ def test_max_clique_breaks_ties_like_brute_force(q, channels):
     assert max_clique(system) == frozenset({1, 2, 3}) == brute_max_clique(system)
 
 
-def test_max_clique_matches_brute_force_on_chained_systems():
-    # General systems over q = 8-12 whose channels each share a letter with
-    # the one before, kept only when some letter class holds several letters:
-    # big enough that the bound prunes, and that ties meet multi-letter classes
-    rng = random.Random(2027)
-    checked = 0
-    while checked < 300:
+def _chained_systems(rng):
+    """General systems over q = 8-12 whose channels each share a letter with
+    the one before, kept only when some letter class holds several letters:
+    big enough that the bound prunes, and that ties meet multi-letter classes."""
+    while True:
         q = rng.randint(8, 12)
         letters = rng.sample(range(1, q + 1), q)
         channels = [rng.sample(letters, rng.randint(2, 5))]
@@ -255,10 +255,32 @@ def test_max_clique_matches_brute_force_on_chained_systems():
             channels.append([rng.choice(channels[-1])] + rng.sample(letters, rng.randint(1, 4)))
         system = ChannelSystem(q, channels)
         classes = colorcap.systems._letter_classes(colorcap.systems._holders(system))
-        if classify(system) != General() or all(len(c) == 1 for c in classes.values()):
-            continue
-        checked += 1
-        assert max_clique(system) == brute_max_clique(system), channels
+        if classify(system) == General() and any(len(c) > 1 for c in classes.values()):
+            yield system
+
+
+def test_max_clique_matches_brute_force_on_chained_systems():
+    for system in itertools.islice(_chained_systems(random.Random(2027)), 300):
+        assert max_clique(system) == brute_max_clique(system), system
+
+
+def test_max_clique_searches_class_by_class_above_the_split():
+    # a 2-set path on new letters, hung off the chained system's last letter,
+    # takes the shared letters past _SPLIT: the search then runs once per
+    # class, over masks of its later neighbours, and meets the chained
+    # system's cliques under classes taken in either channel order
+    length = 2 * colorcap.systems._SPLIT
+    for system in itertools.islice(_chained_systems(random.Random(36)), 4):
+        q = system.q
+        channels = [sorted(ch) for ch in system.channels]
+        channels += [[a, a + 1] for a in range(q, q + length)]
+        for order in (channels, channels[::-1]):
+            joined = ChannelSystem(q + length, order)
+            assert classify(joined) == General()
+            clique, peak_bytes = peak(lambda: max_clique(joined))
+            assert clique == brute_max_clique(system), system
+            # one search over every shared letter peaks at 5.5 MB here
+            assert peak_bytes < 3.5 * 10**6
 
 
 def test_max_clique_returns_the_channel_of_a_pendant_system():
@@ -297,19 +319,45 @@ def test_max_clique_matches_brute_force_on_every_antichain():
     assert checked == 4 + 18 + 166 + 7579
 
 
+def _spy_masks(monkeypatch):
+    """Record the letters of each class map the clique masks are built on."""
+    built, build = [], colorcap.systems._clique_masks
+
+    def spy(classes):
+        built.append(sorted(a for letters in classes.values() for a in letters))
+        return build(classes)
+
+    for module in (colorcap.systems, colorcap.oracle):
+        monkeypatch.setattr(module, "_clique_masks", spy, raising=False)
+    return built
+
+
+def _shared_letters(system):
+    """The letters that two or more channels of the system hold."""
+    held = collections.Counter(a for ch in system.channels for a in ch)
+    return sorted(a for a, k in held.items() if k > 1)
+
+
 def test_max_clique_searches_only_the_letters_two_channels_share(monkeypatch):
-    # the pendant letters lie in one channel each, so the search leaves them out
-    joined, graph = [], colorcap.systems._class_graph
+    # the pendant letters lie in one channel each, so the search leaves them
+    # out; the 2-set on two of them makes those two shared, and the shared
+    # letters outnumber the channel, so the search runs
+    built = _spy_masks(monkeypatch)
+    m = 300
+    system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)]
+                           + [[m + 1, m + 2]])
+    assert max_clique(system) == frozenset(range(1, m + 1))
+    assert built == [list(range(1, m + 3))] == [_shared_letters(system)]
 
-    def spy(system, classes):
-        joined.append({a for letters in classes.values() for a in letters})
-        return graph(system, classes)
 
-    monkeypatch.setattr(colorcap.systems, "_class_graph", spy)
+def test_max_clique_stops_before_the_masks_when_the_shared_letters_cannot_win(monkeypatch):
+    # the pendant system's m shared letters only tie its m-letter channel,
+    # and all of them together come no earlier in letter order
+    built = _spy_masks(monkeypatch)
     m = 300
     system = ChannelSystem(2 * m, [range(1, m + 1)] + [[a, m + a] for a in range(1, m + 1)])
     assert max_clique(system) == frozenset(range(1, m + 1))
-    assert joined == [set(range(1, m + 1))]
+    assert built == []
 
 
 # classification
@@ -481,20 +529,14 @@ def test_classify_builds_the_letter_map_once(monkeypatch, channels):
 
 
 def test_only_the_clique_search_builds_a_class_graph(monkeypatch):
-    # the trace counter ORs per-channel bitmasks instead of neighbour sets
-    graphs, graph = [], colorcap.systems._class_graph
-
-    def spy(system, classes):
-        graphs.append(system)
-        return graph(system, classes)
-
-    for module in (colorcap.systems, colorcap.oracle):
-        monkeypatch.setattr(module, "_class_graph", spy, raising=False)
+    # the trace counter ORs per-channel class masks of its own; only the
+    # clique search builds the letter masks of the class graph
+    built = _spy_masks(monkeypatch)
     system = ChannelSystem(5, [[1, 2, 3], [3, 4], [4, 5], [5, 1]])
     count_outputs(system, 4)
-    assert graphs == []
+    assert built == []
     max_clique(system)
-    assert graphs == [system]
+    assert built == [_shared_letters(system)]
 
 
 @pytest.mark.parametrize("check, maps", [
@@ -560,7 +602,7 @@ def _walk(system):
 def test_classify_and_clique_run_once_per_instance(monkeypatch):
     classified = _spy(monkeypatch, "_classify")
     searched = _spy(monkeypatch, "_max_clique")
-    built = _spy(monkeypatch, "_class_graph")
+    built = _spy_masks(monkeypatch)
     for q, channels, top in [
         (5, CHORDED, General),
         # the channel [1] is dominated, over a Separable of two Generals
@@ -584,12 +626,13 @@ def test_classify_and_clique_run_once_per_instance(monkeypatch):
             for leaf, _cls in _leaves(system):
                 max_clique(leaf)
         # every system of the walk is classified once; every leaf takes its
-        # clique once, and only General leaves build a class graph to search
+        # clique once, and only General leaves build a class graph to search,
+        # once each, on their shared letters
         leaves = _leaves(system)
         general = [leaf for leaf, cls in leaves if isinstance(cls, General)]
         assert _same_instances(classified, _walk(system))
         assert _same_instances(searched, [leaf for leaf, _cls in leaves])
-        assert _same_instances(built, general)
+        assert built == [_shared_letters(leaf) for leaf in general]
 
 
 def test_equal_systems_compute_their_own_results(monkeypatch):
