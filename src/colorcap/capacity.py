@@ -197,14 +197,16 @@ def _dispatch(system: ChannelSystem, leaf_fn) -> CapacityResult:
 
 
 def _capacity_leaf(leaf: ChannelSystem, cls: SystemClass) -> CapacityResult:
-    from .bounds import _bound_leaf
-
     if isinstance(cls, TwoSets):
         return capacity_two_sets(cls.k, cls.p1, cls.p2, leaf.q)
     if isinstance(cls, Sunflower):
         return capacity_sunflower(cls.k, cls.p, cls.t, leaf.q)
     if isinstance(cls, Path):
         return capacity_path(cls.t, leaf.q)
+    # bounds imports this module, so its leaf solver is imported at the call,
+    # after the shape leaves that never reach it
+    from .bounds import _bound_leaf
+
     return _bound_leaf(leaf, cls)
 
 

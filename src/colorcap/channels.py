@@ -7,6 +7,11 @@ common alphabet; the output of a word under the system is the tuple of its
 per-channel projections.  Two equal-length words are confusable when they
 produce the same output tuple, i.e. no receiver seeing all projections can
 tell them apart.
+
+The refusals of the counting oracle (BudgetExceededError, with its default
+budget) and of reconstruction (ReconstructionError) live here too, beside
+the records, so the CLI can map them to exit codes without loading
+colorcap.oracle; that module re-exports them.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence, Set
 
 Word = tuple[int, ...]
+
+DEFAULT_BUDGET = 200_000_000
 
 
 def _is_int(x) -> bool:
@@ -25,6 +32,20 @@ def _check_alphabet(q) -> None:
     """Refuse an alphabet size that is not an integer >= 2."""
     if not _is_int(q) or q < 2:
         raise ValueError(f"alphabet size must be an integer >= 2, got {q!r}")
+
+
+class BudgetExceededError(RuntimeError):
+    """Enumeration refused: the state space exceeds the configured budget."""
+
+    def __init__(self, q: int, n: int, limit: int):
+        self.q, self.n, self.limit = q, n, limit
+        super().__init__(
+            f"enumerating {q}^{n} words exceeds the budget of {limit} states; "
+            f"raise the budget to force it")
+
+
+class ReconstructionError(ValueError):
+    """The pairwise views are not the projections of any single word."""
 
 
 class Record:

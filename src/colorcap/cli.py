@@ -14,16 +14,17 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
 
 from .bounds import bounds
 from .capacity import CapacityResult, capacity
-from .channels import ChannelSystem, _is_int
-from .oracle import (
-    DEFAULT_BUDGET, BudgetExceededError, ReconstructionError, count_outputs,
-    count_sweep, reconstruct_view, verify_pairs_equality,
+from .channels import (
+    DEFAULT_BUDGET, BudgetExceededError, ChannelSystem, ReconstructionError, _is_int,
 )
 from .systems import SystemClass, TwoSets, classify
+
+# colorcap.oracle and decimal are imported where they are used: enumerate and
+# reconstruct load the oracle, format_sig loads decimal, so a command that
+# needs neither does not pay for them
 
 
 class SchemaError(ValueError):
@@ -140,6 +141,8 @@ def format_sig(value: float) -> str:
     """Round to 5 significant digits (half-even), keeping zeros."""
     if value == int(value):
         return str(int(value))
+    from decimal import Decimal  # loaded by the first non-integer value
+
     # g rounds the exact binary value; Decimal keeps the notation (E below 1e-6)
     return str(Decimal(f"{value:#.5g}"))
 
@@ -196,6 +199,8 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_enumerate(args) -> dict:
+    from .oracle import count_outputs, count_sweep, verify_pairs_equality
+
     system, echo = _load_system(args)
     if args.sweep and args.n < 1:
         raise SchemaError(f"--n must be >= 1, got {args.n}")
@@ -217,14 +222,19 @@ def cmd_enumerate(args) -> dict:
         for r in reports
     ]
     if args.verify_pairs:
+        # the report already holds the count at N, unless the sweep stopped short
+        count = reports[-1].count if "truncated" not in doc else None
         try:
-            doc["pairs_equal"] = verify_pairs_equality(system, args.n, budget=args.budget)
+            doc["pairs_equal"] = verify_pairs_equality(system, args.n, budget=args.budget,
+                                                       count=count)
         except ValueError as exc:
             raise SchemaError(f"--verify-pairs: {exc}") from exc
     return doc
 
 
 def cmd_reconstruct(args) -> dict:
+    from .oracle import reconstruct_view
+
     system, echo = _load_system(args)
     if not 1 <= args.channel <= system.t:
         raise SchemaError(f"--channel {args.channel} out of range 1..{system.t}")

@@ -21,24 +21,17 @@ import operator
 import time
 from collections.abc import Iterable, Iterator, Mapping
 
-from .channels import ChannelSystem, Record, _is_int
+# DEFAULT_BUDGET and the two refusals live in channels; this module re-exports them
+from .channels import (
+    DEFAULT_BUDGET, BudgetExceededError, ChannelSystem, Record, ReconstructionError,
+    _is_int,
+)
 from .systems import _holders, _letter_classes, _require_irreducible
 
-DEFAULT_BUDGET = 200_000_000
 _CHUNK = 256  # keys _levels joins into one buffer; its split holds their successors
 _DELIM = b"\xff"  # joins those keys: no separator or letter code holds it
 _CODES = b"\0", b"\1"  # a pair's smaller and larger letter in a coded view
 _FOREIGN = b"\2" * 256  # the byte a foreign symbol translates to
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration refused: the state space exceeds the configured budget."""
-
-    def __init__(self, q: int, n: int, limit: int):
-        self.q, self.n, self.limit = q, n, limit
-        super().__init__(
-            f"enumerating {q}^{n} words exceeds the budget of {limit} states; "
-            f"raise the budget to force it")
 
 
 class EnumerationReport(Record):
@@ -158,19 +151,26 @@ def _levels(system: ChannelSystem) -> Iterator[set[bytes]]:
         level = extended
 
 
+def _words(q: int, n: int, budget: int | None) -> int:
+    """q^n, the words a count at length n covers; BudgetExceededError past
+    the budget (default DEFAULT_BUDGET)."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
+    states = q ** n if n < limit.bit_length() else None
+    if states is None or states > limit:
+        raise BudgetExceededError(q, n, limit)
+    return states
+
+
 def _reports(system: ChannelSystem, lengths: Iterable[int],
              budget: int | None) -> Iterator[EnumerationReport]:
     """One report per length, lengths increasing, from one pass over
     _traces(system); each checks its budget before any work, and its
     elapsed is the time since the pass began."""
-    limit = DEFAULT_BUDGET if budget is None else budget
     start = time.perf_counter()
     indexed = enumerate(_traces(system))
     for n in lengths:
-        # q^n >= 2^n > limit from n = limit.bit_length() on: never expand huge powers
-        states = system.q ** n if n < limit.bit_length() else None
-        if states is None or states > limit:
-            raise BudgetExceededError(system.q, n, limit)
+        states = _words(system.q, n, budget)
         count = next(c for i, c in indexed if i == n)
         # log of the exact power, so a full channel reports a rate of exactly 1.0
         rate = 0.0 if n == 0 else math.log(count, states)
@@ -209,10 +209,6 @@ def count_sweep(system: ChannelSystem, n: int, *,
     """
     _check_args(n, budget)
     return _reports(system, range(1, n + 1), budget)
-
-
-class ReconstructionError(ValueError):
-    """The pairwise views are not the projections of any single word."""
 
 
 def _code_view(view: tuple, pair: tuple, in_c: bool) -> bytes:
@@ -317,16 +313,22 @@ def reconstruct_view(pair_views: Mapping, channel) -> tuple:
 
 
 def verify_pairs_equality(system: ChannelSystem, n: int, *,
-                          budget: int | None = None) -> bool:
+                          budget: int | None = None,
+                          count: int | None = None) -> bool:
     """Whether the system's pairs-graph count equals its exhaustive count.
 
     For an irreducible system with t >= 2 channels the two counts agree for
-    every n; others fail the guard shared with bounds_general.  It counts the
-    system twice itself: with count_outputs, which reads only the pairs
-    graph, then exhaustively (_levels), over its distinct outputs at each
-    length up to n.
+    every n; others fail the guard shared with bounds_general.  The
+    pairs-graph count is count_outputs(system, n).count, which reads only
+    the pairs graph; a caller that already holds it passes it as count, and
+    otherwise it is counted here.  The system is then counted exhaustively
+    (_levels), over its distinct outputs at each length up to n, within the
+    same budget on q^n.
     """
     _check_args(n, budget)
     _require_irreducible(system, "pairs equality")
-    count = count_outputs(system, n, budget=budget).count
+    if count is None:
+        count = count_outputs(system, n, budget=budget).count
+    else:
+        _words(system.q, n, budget)
     return count == len(next(itertools.islice(_levels(system), n, None)))

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colorcap
+import colorcap.channels
 import colorcap.cli
+import colorcap.oracle
 import colorcap.systems
 from colorcap import ChannelSystem
 from colorcap.cli import (
@@ -61,15 +63,97 @@ def test_import_starts_no_process_machinery():
     assert proc.stdout == "[]\n"
 
 
-def test_import_stays_lean():
-    # -S: no site module, which may preload typing on its own
+def _fresh(statement: str, modules: set, stdin: str = "") -> list:
+    """A fresh interpreter's output lines after statement, the last naming
+    which of modules it then holds.  -S: no site module, which may preload
+    typing on its own."""
     parent = os.path.dirname(os.path.dirname(colorcap.cli.__file__))
-    probe = (f"import sys; sys.path.insert(0, {parent!r}); import colorcap.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True)
+    probe = (f"import os, sys; sys.path.insert(0, {parent!r})\n{statement}\n"
+             f"print(sorted({modules!r} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], input=stdin,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()
+
+
+def test_import_stays_lean():
+    assert _fresh("import colorcap.cli", {"dataclasses", "inspect", "typing"}) == ["[]"]
+
+
+LAZY = {"colorcap.oracle", "decimal"}
+
+
+@pytest.mark.parametrize("statement", ["import colorcap", "import colorcap.cli"])
+def test_import_loads_neither_the_oracle_nor_decimal(statement):
+    assert _fresh(statement, LAZY) == ["[]"]
+
+
+CYCLE4 = _doc(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
+
+
+@pytest.mark.parametrize("argv, stdin, code, loaded", [
+    (["classify"], CYCLE4, 0, []),
+    (["capacity"], CYCLE4, 0, ["decimal"]),
+    (["capacity"], _doc(3, [[1, 2, 3]]), 0, []),  # a capacity of 1 needs no decimal
+    (["bounds"], CYCLE4, 0, ["decimal"]),
+    (["table", "--which", "q4"], "", 0, ["decimal"]),
+    (["enumerate", "--n", "3", "--verify-pairs"], CYCLE4, 0, ["colorcap.oracle"]),
+    (["enumerate", "--n", "30"], CYCLE4, 3, ["colorcap.oracle"]),
+], ids=["classify", "capacity", "capacity-1", "bounds", "table", "enumerate",
+        "enumerate-refused"])
+def test_each_command_loads_what_it_uses(argv, stdin, code, loaded):
+    # each command writes its document to the null device
+    call = f"colorcap.cli.main({argv + ['--output', os.devnull]!r})"
+    assert _fresh(f"import colorcap.cli; assert {call} == {code}", LAZY, stdin) == [str(loaded)]
+
+
+def test_reconstruct_loads_the_oracle(tmp_path):
+    views = tmp_path / "views.json"
+    views.write_text(json.dumps({"views": [{"pair": [1, 2], "word": [2, 1]}]}))
+    call = (f"colorcap.cli.main(['reconstruct', '--channel', '1', '--views', {str(views)!r}, "
+            "'--output', os.devnull])")
+    assert _fresh(f"import colorcap.cli; assert {call} == 0", LAZY,
+                  _doc(2, [[1, 2]])) == ["['colorcap.oracle']"]
+
+
+def test_enumerate_help_names_the_budget_without_the_oracle():
+    *lines, loaded = _fresh("import colorcap.cli, contextlib\n"
+                            "with contextlib.suppress(SystemExit):\n"
+                            "    colorcap.cli.main(['enumerate', '--help'])", LAZY)
+    assert loaded == "[]"
+    assert (f"--budget B cap on q^N, the number of words a count covers "
+            f"(default {colorcap.oracle.DEFAULT_BUDGET})") in " ".join(" ".join(lines).split())
+
+
+def test_oracle_names_read_the_oracle_module(monkeypatch):
+    # the package keeps no copy, so a name rebound in the oracle (as a tracer
+    # or a test does) shows through the package until it is restored
+    real = colorcap.count_outputs
+    monkeypatch.setattr(colorcap.oracle, "count_outputs", "rebound")
+    assert colorcap.count_outputs == "rebound"
+    monkeypatch.undo()
+    assert colorcap.count_outputs is real
+    names = {}
+    exec("from colorcap import *", names)
+    assert set(colorcap.__all__) <= names.keys()
+    assert set(colorcap.__all__) <= set(dir(colorcap))
+    for name in ("count_outputs", "reconstruct_view", "verify_pairs_equality",
+                 "EnumerationReport"):
+        assert getattr(colorcap, name) is getattr(colorcap.oracle, name) is names[name]
+    with pytest.raises(AttributeError, match="has no attribute 'count_levels'"):
+        colorcap.count_levels
+    assert not hasattr(colorcap, "_levels")
+
+
+def test_refusals_are_one_class_across_modules():
+    for name in ("BudgetExceededError", "ReconstructionError", "DEFAULT_BUDGET"):
+        value = getattr(colorcap.channels, name)
+        assert getattr(colorcap.oracle, name) is value
+        assert getattr(colorcap.cli, name) is value
+        if name != "DEFAULT_BUDGET":
+            assert getattr(colorcap, name) is value
+    assert colorcap.cli.EXIT_CODES[colorcap.oracle.BudgetExceededError] == 3
+    assert colorcap.cli.EXIT_CODES[colorcap.oracle.ReconstructionError] == 4
 
 
 def test_export_list_names_exist():

@@ -19,7 +19,7 @@ from colorcap import (
     separable_split,
     verify_pairs_equality,
 )
-from colorcap import cli, oracle
+from colorcap import oracle
 from colorcap.oracle import count_sweep
 from helpers import (
     composition_count_path,
@@ -449,6 +449,19 @@ def test_pairs_equality_counts_its_own_argument_exhaustively(monkeypatch):
     assert len(seen) == 1 and seen[0] is system
 
 
+def test_pairs_equality_takes_the_engine_count_and_still_checks_it(monkeypatch):
+    system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
+    count = count_outputs(system, 5).count
+    monkeypatch.setattr(oracle, "count_outputs", None)  # a given count is not recounted
+    assert verify_pairs_equality(system, 5, count=count)
+    assert not verify_pairs_equality(system, 5, count=count + 1)
+    # the guard and the budget on the exhaustive count hold with a count too
+    with pytest.raises(ValueError, match="pairs equality"):
+        verify_pairs_equality(ChannelSystem(4, [[1, 2], [3, 4]]), 5, count=count)
+    with pytest.raises(BudgetExceededError):
+        verify_pairs_equality(system, 5, budget=4 ** 5 - 1, count=count)
+
+
 @pytest.mark.parametrize("sweep", [[], ["--sweep"]])
 def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
     system = ChannelSystem(4, [[1, 2, 3], [2, 3, 4]])
@@ -460,15 +473,16 @@ def test_verify_pairs_counts_the_system_once(monkeypatch, sweep):
             return real(counted_system, *args, **kwargs)
         return wrapper
 
+    # the CLI imports its oracle functions when the command runs, so spies on
+    # the oracle module reach it
     monkeypatch.setattr(oracle, "count_outputs", spy(oracle.count_outputs, "engine"))
-    monkeypatch.setattr(cli, "count_outputs", spy(cli.count_outputs, "engine"))
-    monkeypatch.setattr(cli, "count_sweep", spy(cli.count_sweep, "engine"))
+    monkeypatch.setattr(oracle, "count_sweep", spy(oracle.count_sweep, "engine"))
     monkeypatch.setattr(oracle, "_levels", spy(oracle._levels, "exhaustive"))
     code, out, _ = run_cli(["enumerate", "--n", "6", "--verify-pairs", *sweep], system)
     assert code == 0 and json.loads(out)["pairs_equal"] is True
-    # the system by the engine for the report and again for the check, then
+    # the system by the engine for the report, which the check reuses, then
     # the same 2-channel system exhaustively, once
-    assert counted == [("engine", 2), ("engine", 2), ("exhaustive", 2)]
+    assert counted == [("engine", 2), ("exhaustive", 2)]
 
 
 def test_verify_pairs_with_a_letter_in_no_channel():
