@@ -17,6 +17,7 @@ colorcap.oracle; that module re-exports them.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence, Set
+from itertools import chain
 
 Word = tuple[int, ...]
 
@@ -82,6 +83,13 @@ class ChannelSystem(Record):
     of iterables of letters.  Order is significant (outputs are tuples
     indexed by channel), duplicates are allowed.
 
+    Every channel must be nonempty and every letter an int (not a bool) in
+    1..q.  A valid system is accepted by C-level checks over all channels'
+    letters chained together (their types all exactly int, their minimum
+    and maximum in range); only when those fail does a loop check each
+    channel's letters, accepting int subclasses and naming the first bad
+    channel and letter.
+
     The slot _known holds this instance's structure results (its class and
     maximum clique, see colorcap.systems), each computed on first use.  It
     is not a field: equality, hashing, the repr and vars() never read it,
@@ -95,13 +103,18 @@ class ChannelSystem(Record):
         normalized = tuple(frozenset(c) for c in channels)
         if not normalized:
             raise ValueError("a channel system needs at least one channel")
-        for i, ch in enumerate(normalized):
-            if not ch:
-                raise ValueError(f"channel {i + 1} is empty")
-            bad = [a for a in ch if not _is_int(a) or not 1 <= a <= q]
-            if bad:
-                raise ValueError(
-                    f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}")
+        # chained, not united: a union keeps a 1 and drops a 1.0 beside it
+        letters = [*chain.from_iterable(normalized)]
+        if not (all(normalized) and set(map(type, letters)) == {int}
+                and min(letters) >= 1 and max(letters) <= q):
+            # letter by letter, to accept int subclasses or name the bad letter
+            for i, ch in enumerate(normalized):
+                if not ch:
+                    raise ValueError(f"channel {i + 1} is empty")
+                bad = [a for a in ch if not _is_int(a) or not 1 <= a <= q]
+                if bad:
+                    raise ValueError(
+                        f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}")
         self.__dict__.update(q=q, channels=normalized)
         object.__setattr__(self, "_known", {})
 

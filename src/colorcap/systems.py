@@ -327,7 +327,11 @@ def classify(system: ChannelSystem) -> SystemClass:
     Reducible and Separable fire first, then SingleChannel and TwoSets (t = 2).
     Sunflower, Path and Cycle are read off how many channels hold each letter,
     and FullClique off the letter classes of the same map (no shape has a
-    complete pairs graph); else General.  Channel order never matters.
+    complete pairs graph); else General.  The class map is built only when
+    every letter is visible and the channels of the least-held letter hold
+    all q letters, both necessary for a complete graph; a General leaf that
+    fails them gets its class map built once, by the clique search.
+    Channel order never matters.
     Computed once per system instance; later calls return the same record.
     """
     known = system._known
@@ -370,8 +374,11 @@ def _classify(system: ChannelSystem) -> SystemClass:
             return Path(t)
         if degs[0] == 2 and degs[-1] == 2 and t >= 4:
             return Cycle(t)
-    classes = _letter_classes(holders)
-    if sum(map(len, classes.values())) == system.q and all(
-            u & v for u, v in itertools.combinations(classes, 2)):
+    # a complete graph needs every letter, and the channels of its least-held
+    # letter must hold them all; only then are the class keys compared
+    q = system.q
+    if len(holders) == q and len(frozenset().union(
+            *(chans[i] for i in min(holders.values(), key=len)))) == q and all(
+            u & v for u, v in itertools.combinations(_letter_classes(holders), 2)):
         return FullClique()
     return General()

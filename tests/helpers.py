@@ -66,6 +66,21 @@ def restrict_alphabet(system: ChannelSystem) -> ChannelSystem:
     return ChannelSystem(len(used), [{relabel[a] for a in ch} for ch in system.channels])
 
 
+def reference_letter_error(q: int, channels) -> str | None:
+    """The per-letter rule ChannelSystem keeps: the message for the first
+    channel, after frozenset normalisation, that is empty or holds a letter
+    that is not an int (a bool counts as none) in 1..q; None when there is
+    no such channel."""
+    for i, ch in enumerate(map(frozenset, channels)):
+        if not ch:
+            return f"channel {i + 1} is empty"
+        bad = [a for a in ch
+               if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= q]
+        if bad:
+            return f"channel {i + 1}: letter {bad[0]!r} outside 1..{q}"
+    return None
+
+
 def reference_count(system: ChannelSystem, n: int) -> int:
     """Distinct output tuples of the q^n words, by projecting every word.
 

@@ -1,9 +1,11 @@
+import enum
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from colorcap import ChannelSystem, apply_channel, apply_system
-from helpers import visible_letters
+from helpers import reference_letter_error, visible_letters
 
 
 def confusable(x, y, system):
@@ -62,6 +64,52 @@ def test_system_validation():
             ChannelSystem(3, [[1], bad])
     with pytest.raises(ValueError):
         ChannelSystem(3, [[4]])
+
+
+class Letter(enum.IntEnum):
+    """An int subclass: the per-letter rule takes its members as letters."""
+    ZERO, ONE, TWO, THREE = range(4)
+
+
+@st.composite
+def channel_lists(draw):
+    """(q, channels) of letters in 1..q, to which some channels add 0 or
+    q + 1, and some a bool, a float equal to a letter or an IntEnum member;
+    one list in four gets an empty channel somewhere."""
+    q = draw(st.integers(2, 5))
+    channels = draw(st.lists(st.lists(st.integers(1, q), min_size=1, max_size=4),
+                             min_size=1, max_size=5))
+    odd = st.one_of(st.booleans(), st.integers(1, q).map(float), st.sampled_from(Letter))
+    for extra in (st.sampled_from([0, q + 1]), odd):
+        if draw(st.booleans()):
+            channels[draw(st.integers(0, len(channels) - 1))].append(draw(extra))
+    if draw(st.integers(0, 3)) == 0:
+        channels.insert(draw(st.integers(0, len(channels))), [])
+    return q, channels
+
+
+@given(channel_lists())
+@example((3, [[0]]))
+@example((3, [[1], [4]]))
+@example((3, [[], [0]]))
+@example((3, [[0], []]))
+@example((3, [[1, 2], [1.0], [2]]))
+@example((3, [[1], [2.0, 3]]))
+@example((3, [[2], [True]]))
+@example((3, [[1, True]]))
+@example((3, [[Letter.ONE, 2], [Letter.THREE]]))
+@example((3, [[Letter.ZERO], [1]]))
+def test_system_accepts_what_the_per_letter_rule_accepts(case):
+    # the checks over the chained letters accept no more, and refuse with
+    # the per-letter rule's message
+    q, channels = case
+    error = reference_letter_error(q, channels)
+    if error is None:
+        assert ChannelSystem(q, channels).channels == tuple(map(frozenset, channels))
+    else:
+        with pytest.raises(ValueError) as info:
+            ChannelSystem(q, channels)
+        assert str(info.value) == error
 
 
 def test_system_normalizes_input():

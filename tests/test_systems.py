@@ -6,7 +6,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import colorcap.oracle
@@ -507,10 +507,33 @@ def test_shapes_are_read_off_the_channel_sets(monkeypatch, method):
     [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]],
 ])
 def test_full_clique_and_general_build_the_pairs_graph(monkeypatch, channels):
+    # a full clique is told by its class keys; the General system fails the
+    # check before them (letter 2's channels miss letter 4), so its class
+    # map is first built by the clique search
     monkeypatch.setattr(colorcap.systems, "_letter_classes", _refuse_letter_classes)
     system = ChannelSystem(len({a for ch in channels for a in ch}), channels)
-    with pytest.raises(_PairsGraphRead):
-        classify(system)
+    if reference_classify(system) == General():
+        assert classify(system) == General()
+        with pytest.raises(_PairsGraphRead):
+            max_clique(system)
+    else:
+        with pytest.raises(_PairsGraphRead):
+            classify(system)
+
+
+@pytest.mark.parametrize("channels", [
+    [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]],
+    [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]],
+])
+def test_a_general_leaf_builds_its_letter_classes_once(monkeypatch, channels):
+    # classify rules out a complete graph without the class map, and the
+    # clique search builds it once for capacity and bounds together
+    calls = _spy(monkeypatch, "_letter_classes")
+    system = ChannelSystem(len({a for ch in channels for a in ch}), channels)
+    assert classify(system) == General()
+    capacity(system)
+    bounds(system)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("channels", [
@@ -742,6 +765,44 @@ def test_split_and_classify_match_the_reference(system):
     assert classify(system) == reference_classify(system)
     for leaf, cls in _leaves(system):
         assert cls == reference_classify(leaf)
+
+
+@st.composite
+def visible_systems(draw):
+    """Irreducible systems over [q], 3 <= q <= 7, in which every letter lies
+    in some channel.  Either random channels, each letter left out joining
+    one of them; or two channels meeting in letter 1 and holding [q]
+    between them, then 2-sets across them that hold every other letter:
+    letter 1 is among the least held and its channels hold every letter,
+    while the pairs graph is complete only with every such 2-set."""
+    q = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        channel = st.sets(st.integers(1, q), min_size=2, max_size=q - 1)
+        channels = draw(st.lists(channel, min_size=3, max_size=7))
+        for a in set(range(1, q + 1)).difference(*channels):
+            channels[draw(st.integers(0, len(channels) - 1))].add(a)
+    else:
+        left = draw(st.sets(st.integers(2, q), min_size=1, max_size=q - 2))
+        right = set(range(2, q + 1)) - left
+        across = [{a, b} for a in sorted(left) for b in sorted(right)]
+        cover = [draw(st.sampled_from([ab for ab in across if a in ab]))
+                 for a in range(2, q + 1)]
+        channels = [{1} | left, {1} | right] + cover + draw(
+            st.lists(st.sampled_from(across), unique_by=frozenset))
+    system = remove_dominated(ChannelSystem(q, channels))
+    assume(system.t > 2 and len(separable_split(system)) == 1)
+    return system
+
+
+@settings(max_examples=400)
+@given(visible_systems())
+# letter 1's channels hold all five letters, yet 3 and 4 share no channel
+@example(ChannelSystem(5, [[1, 2, 3], [1, 4, 5], [2, 4], [3, 5], [2, 5]]))
+@example(ChannelSystem(4, [[1, 2, 3], [1, 2, 4], [3, 4, 1]]))
+def test_full_clique_verdict_matches_the_reference(system):
+    # the check before the class keys only ever answers General when the
+    # pairs graph is incomplete
+    assert classify(system) == reference_classify(system)
 
 
 @settings(max_examples=400)
