@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 
 from .bounds import bounds
@@ -100,15 +101,32 @@ def read_json(path: str):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # open(path, "w") without O_TRUNC, in the built-in open's mode: emptying a
+    # file that holds data costs more than overwriting it (ext4 flushes it)
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_json(doc: dict, path: str) -> None:
+    """Write doc to stdout ("-") or over the file at path, cutting any old tail.
+
+    The file is overwritten in place, not emptied first, so the write is no
+    more atomic than open(path, "w"): a crash mid-write leaves the old tail.
+    """
     text = json.dumps(doc, indent=2) + "\n"
     try:
         if path == "-":
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(path, "w", encoding="utf-8", opener=_open_in_place) as handle:
                 handle.write(text)
+                handle.flush()
+                # only a regular file has an old tail to cut: a FIFO's size
+                # counts unread bytes, and /dev/null refuses truncate
+                st = os.fstat(handle.fileno())
+                if stat.S_ISREG(st.st_mode) and st.st_size > handle.buffer.tell():
+                    handle.truncate()
     except OSError as exc:
         if path == "-":
             # Bytes left in stdout's buffer would fail again at the flush on

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -497,8 +498,49 @@ def test_repeated_key_exit_2(tmp_path):
 
 
 def test_unwritable_output_exit_2(tmp_path):
-    out = tmp_path / "missing" / "result.json"
-    _assert_rejected(*run_cli(["table", "--which", "q3", "--output", str(out)]), 2)
+    # a file in a missing directory, and a directory itself
+    for out in (tmp_path / "missing" / "result.json", tmp_path):
+        _assert_rejected(*run_cli(["table", "--which", "q3", "--output", str(out)]), 2)
+
+
+@pytest.mark.parametrize("stale", [b"x" * 100_000, b"{}", b""])
+def test_output_file_overwrites_in_place_and_cuts_the_tail(tmp_path, stale):
+    # the file is written over, not emptied first; a longer old file loses its tail
+    out = tmp_path / "q4.json"
+    out.write_bytes(stale)
+    inode = out.stat().st_ino
+    printed = subprocess.run([sys.executable, "-m", PKG, "table", "--which", "q4"],
+                             capture_output=True, check=True).stdout
+    assert run_cli(["table", "--which", "q4", "--output", str(out)]) == (0, "", "")
+    assert out.read_bytes() == printed
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_as_output(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    # the reader opens the FIFO so that main's open for writing returns
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(["table", "--which", "q3", "--output", str(fifo)]) == (0, "", "")
+    reader.join(timeout=10)
+    assert got == [run_cli(["table", "--which", "q3"])[1].encode()]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_new_output_file_gets_the_mode_of_open(tmp_path):
+    umask = 0o027
+    old = os.umask(umask)
+    try:
+        assert run_cli(["table", "--which", "q3", "--output", str(tmp_path / "new")])[0] == 0
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "new").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask == (tmp_path / "reference").stat().st_mode & 0o777
 
 
 @pytest.mark.parametrize("refusal, given, code", [
@@ -669,15 +711,22 @@ def _file(documents):
     return documents.map(lambda d: json.dumps(d).encode()) | st.binary(max_size=12)
 
 
+# stale bytes an --output file holds before the run, some longer than any document
+_stale = st.none() | st.binary(max_size=16) | st.integers(0, 64 * 1024).map(b"x".__mul__)
+
+
 @st.composite
 def _invocations(draw):
-    """(argv with {dir} for the scratch directory, input bytes, views bytes)."""
+    """(argv with {dir} for the scratch directory, input bytes, views bytes,
+    the bytes {dir}/out.json holds first or None for no such file)."""
     command = draw(st.sampled_from(["classify", "capacity", "bounds", "enumerate",
                                     "reconstruct", "table"]))
     # table reads no input and refuses --input
     argv = [command] if command == "table" else [command, "--input", "{dir}/system.json"]
+    stale = None
     if draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(["{dir}/out.json", "{dir}/no/out.json"]))]
+        stale = draw(_stale)
     if command == "enumerate":
         # every draw passes a budget of at most 10^4 words per count
         argv += ["--n", str(draw(st.integers(-2, 20))),
@@ -687,18 +736,30 @@ def _invocations(draw):
         argv += ["--channel", str(draw(st.integers(-1, 5))), "--views", "{dir}/views.json"]
     elif command == "table":
         argv += ["--which", draw(st.sampled_from(["q3", "q4"]))]
-    return argv, draw(_file(_systems | _json)), draw(_file(_views | _json))
+    return argv, draw(_file(_systems | _json)), draw(_file(_views | _json)), stale
 
 
 @settings(max_examples=150, deadline=None)
 @given(_invocations())
 def test_every_invocation_ends_with_a_documented_exit_code(invocation):
-    argv, system_bytes, views_bytes = invocation
+    argv, system_bytes, views_bytes, stale = invocation
+    files = {"system.json": system_bytes, "views.json": views_bytes, "out.json": stale}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, content in (("system.json", system_bytes), ("views.json", views_bytes)):
-            with open(os.path.join(tmp, name), "wb") as handle:
-                handle.write(content)
+        for name, content in files.items():
+            if content is not None:
+                with open(os.path.join(tmp, name), "wb") as handle:
+                    handle.write(content)
         code, stdout, stderr = run_cli([a.replace("{dir}", tmp) for a in argv])
+        written = None
+        if os.path.exists(os.path.join(tmp, "out.json")):
+            with open(os.path.join(tmp, "out.json"), "rb") as handle:
+                written = handle.read()
     assert code in (0, 2, 3, 4)
     if code:
         _assert_rejected(code, stdout, stderr, code)
+        # a refused command never opens its output file
+        assert written == stale
+    elif "{dir}/out.json" in argv:
+        # one document and a final newline, with no stale tail after it
+        assert stdout == "" and written.endswith(b"}\n")
+        json.loads(written)
