@@ -8,13 +8,12 @@ budget refusal, 4 on inconsistent reconstruction views.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import re
 import stat
 import sys
+from types import SimpleNamespace
 
 from .bounds import bounds
 from .capacity import CapacityResult, capacity
@@ -108,12 +107,16 @@ def _open_in_place(path: str, flags: int) -> int:
 
 
 def write_json(doc: dict, path: str) -> None:
-    """Write doc to stdout ("-") or over the file at path, cutting any old tail.
+    """Write doc as indented JSON to stdout ("-") or over the file at path."""
+    _write(json.dumps(doc, indent=2) + "\n", path)
+
+
+def _write(text: str, path: str) -> None:
+    """Write text to stdout ("-") or over the file at path, cutting any old tail.
 
     The file is overwritten in place, not emptied first, so the write is no
     more atomic than open(path, "w"): a crash mid-write leaves the old tail.
     """
-    text = json.dumps(doc, indent=2) + "\n"
     try:
         if path == "-":
             sys.stdout.write(text)
@@ -316,71 +319,191 @@ COMMANDS = {
 EXIT_CODES = {SchemaError: 2, BudgetExceededError: 3, ReconstructionError: 4}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise SchemaError(message)
+# ---------------------------------------------------------------------------
+# argv
+
+_INPUT = ("--input", "FILE", str, False, "-", "system document (JSON); '-' reads stdin")
+_OUTPUT = ("--output", "FILE", str, False, "-", "result document (JSON); '-' writes stdout")
+_HELP = ("--help", None, None, False, False, "show this help message and exit")
+
+# Each command's help line and options, read by parse_args and by the help
+# text.  An option is (flag, metavar or None for an on/off flag, type: int,
+# str or the strings allowed, required, default, help); its attribute is the
+# flag less "--", with "_" for "-".
+OPTIONS = {
+    "classify": ("structural class of the system", (_INPUT, _OUTPUT)),
+    "capacity": ("capacity, exact where a formula applies", (_INPUT, _OUTPUT)),
+    "bounds": ("clique sandwich, ignoring exact formulas", (_INPUT, _OUTPUT)),
+    "enumerate": ("exact output counting over trace normal forms", (
+        _INPUT, _OUTPUT,
+        ("--n", "N", int, True, None, "block length"),
+        ("--sweep", None, None, False, False, "report every length 1..N"),
+        ("--verify-pairs", None, None, False, False,
+         "also count the system exhaustively and compare with the pairs-graph count"),
+        ("--budget", "B", int, False, None,
+         f"cap on q^N, the number of words a count covers (default {DEFAULT_BUDGET})"),
+    )),
+    "reconstruct": ("rebuild one channel's view from pairwise views", (
+        _INPUT, _OUTPUT,
+        ("--channel", "IDX", int, True, None, "1-based channel index"),
+        ("--views", "FILE", str, True, None,
+         'JSON file: {"views": [{"pair": [a,b], "word": [...]}]}'),
+    )),
+    "table": ("built-in capacity catalog (reads no input)", (
+        _OUTPUT,
+        ("--which", "{" + ",".join(sorted(TABLE_SYSTEMS)) + "}", tuple(sorted(TABLE_SYSTEMS)),
+         True, None, "catalog to print"),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="colorcap",
-        description="capacities, bounds, and exhaustive checks for systems "
-                    "of coloring channels")
-    in_parent = argparse.ArgumentParser(add_help=False)
-    in_parent.add_argument("--input", default="-", metavar="FILE",
-                           help="system document (JSON); '-' reads stdin")
-    out_parent = argparse.ArgumentParser(add_help=False)
-    out_parent.add_argument("--output", default="-", metavar="FILE",
-                            help="result document (JSON); '-' writes stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("classify", parents=[in_parent, out_parent],
-                   help="structural class of the system")
-    sub.add_parser("capacity", parents=[in_parent, out_parent],
-                   help="capacity, exact where a formula applies")
-    sub.add_parser("bounds", parents=[in_parent, out_parent],
-                   help="clique sandwich, ignoring exact formulas")
-    enum = sub.add_parser("enumerate", parents=[in_parent, out_parent],
-                          help="exact output counting over trace normal forms")
-    enum.add_argument("--n", type=int, required=True, metavar="N",
-                      help="block length")
-    enum.add_argument("--sweep", action="store_true",
-                      help="report every length 1..N")
-    enum.add_argument("--verify-pairs", action="store_true", dest="verify_pairs",
-                      help="also count the system exhaustively and compare "
-                           "with the pairs-graph count")
-    enum.add_argument("--budget", type=int, default=None, metavar="B",
-                      help=f"cap on q^N, the number of words a count covers "
-                           f"(default {DEFAULT_BUDGET})")
-    rec = sub.add_parser("reconstruct", parents=[in_parent, out_parent],
-                         help="rebuild one channel's view from pairwise views")
-    rec.add_argument("--channel", type=int, required=True, metavar="IDX",
-                     help="1-based channel index")
-    rec.add_argument("--views", required=True, metavar="FILE",
-                     help='JSON file: {"views": [{"pair": [a,b], "word": [...]}]}')
-    tab = sub.add_parser("table", parents=[out_parent],
-                         help="built-in capacity catalog (reads no input)")
-    tab.add_argument("--which", required=True, choices=sorted(TABLE_SYSTEMS),
-                     help="catalog to print")
-    return parser
+def _option(token: str, flags: dict):
+    """None when token is a value; for an option, (the row of flags it names,
+    or None when it names none, and the value given after "=", or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] != "-":
+        if token[:2] == "-h":  # anything after -h is a value given to it
+            return _HELP, token[2:] or None
+        # a negative number, or any text with a space, is a value
+        if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+            return None
+        return None, None
+    name, eq, value = token.partition("=")
+    row = flags.get(name)
+    if row is None and len(name) > 2:
+        rows = [row for flag, row in flags.items() if flag.startswith(name)]
+        row = rows[0] if len(rows) == 1 else None
+    if row is None and " " in token:
+        return None
+    return row, value if eq else None
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main call, not at import, and shared by later calls
-    return build_parser()
+def _value(row, value: str):
+    flag, _, kind = row[:3]
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise SchemaError(f"argument {flag}: invalid int value: {value!r}") from None
+    if kind is not str and value not in kind:
+        raise SchemaError(f"argument {flag}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, kind))})")
+    return value
+
+
+def parse_args(argv=None):
+    """argv (default sys.argv[1:]) as a namespace of its command and that
+    command's options, or the help text when argv asks for help.
+
+    An option is read from "--opt VALUE" or "--opt=VALUE", and its name may
+    be cut to a prefix that no other option of the command shares; the last
+    value given wins.  A token that starts with "-" is an option, except "-"
+    itself and a negative number, so "--n -1" gives -1.  Refusals raise
+    SchemaError.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    unknown = []
+    for i, token in enumerate(argv):
+        found = _option(token, {"--help": _HELP})
+        if found is None:
+            break
+        if found[0] is None:
+            unknown.append(token)
+        elif found[1] is not None:
+            raise SchemaError(f"argument -h/--help: ignored explicit argument {found[1]!r}")
+        else:
+            return _help(None)
+    else:
+        raise SchemaError("the following arguments are required: command")
+    command = argv[i]
+    if command not in OPTIONS:
+        raise SchemaError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, OPTIONS))})")
+    rows = OPTIONS[command][1]
+    flags = {row[0]: row for row in (_HELP, *rows)}
+    tokens = [(token, _option(token, flags)) for token in argv[i + 1:]]
+    values = {row[0]: row[4] for row in rows}
+    j = 0
+    while j < len(tokens):
+        token, found = tokens[j]
+        j += 1
+        if found is None or found[0] is None:
+            unknown.append(token)
+            continue
+        row, value = found
+        flag = row[0]
+        if row[1] is None:
+            if value is not None:
+                raise SchemaError(f"argument {flag}: ignored explicit argument {value!r}")
+            if row is _HELP:
+                return _help(command)
+            values[flag] = True
+            continue
+        if value is None:
+            if j == len(tokens) or tokens[j][1] is not None:
+                raise SchemaError(f"argument {flag}: expected one argument")
+            value = tokens[j][0]
+            j += 1
+        values[flag] = _value(row, value)
+    missing = [row[0] for row in rows if row[3] and values[row[0]] is None]
+    if missing:
+        raise SchemaError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise SchemaError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
+def _wrap(lead: str, words, indent: int) -> list:
+    """lead, padded to indent - 1 columns, then words one space apart; a word
+    that would pass column 79 starts a new line, indented by indent."""
+    lines = [lead.ljust(indent - 1)]
+    for word in words:
+        if len(lines[-1]) >= indent and len(lines[-1]) + 1 + len(word) > 79:
+            lines.append(" " * (indent - 1))
+        lines[-1] += " " + word
+    return lines
+
+
+def _help(command) -> str:
+    """The help text of colorcap (command None) or of one command."""
+    usage, options = ["[-h]"], [("-h, --help", _HELP[-1])]
+    if command is None:
+        prog, text = "colorcap", ("capacities, bounds, and exhaustive checks for "
+                                  "systems of coloring channels")
+        usage += ["{" + ",".join(OPTIONS) + "}", "..."]
+        sections = {"commands": [(name, line) for name, (line, _) in OPTIONS.items()],
+                    "options": options}
+    else:
+        prog, (text, rows) = f"colorcap {command}", OPTIONS[command]
+        for flag, metavar, _, required, _, line in rows:
+            name = flag if metavar is None else f"{flag} {metavar}"
+            usage.append(name if required else f"[{name}]")
+            options.append((name, line))
+        sections = {"options": options}
+    column = 4 + max(len(name) for rows in sections.values() for name, _ in rows)
+    lines = _wrap(f"usage: {prog}", usage, len(prog) + 8) + ["", text]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        for name, line in rows:
+            lines += _wrap(f"  {name}", line.split(), column)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit code.
 
-    main may be called any number of times in one process.  The calls share
-    one parser, built on the first call; each call reads stdin and stdout
-    afresh and keeps no state for the next.
+    main may be called any number of times in one process; each call reads
+    stdin and stdout afresh and keeps no state for the next.  A call that
+    asks for help writes it to stdout and returns 0.
     """
     try:
-        args = _parser().parse_args(argv)
-        write_json(COMMANDS[args.command](args), args.output)
+        args = parse_args(argv)
+        if isinstance(args, str):
+            _write(args, "-")
+        else:
+            write_json(COMMANDS[args.command](args), args.output)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[k] for k in type(exc).__mro__ if k in EXIT_CODES)

@@ -1,5 +1,6 @@
 """Helpers shared by several test modules; pytest collects nothing here."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -15,14 +16,14 @@ from colorcap import (
     ChannelSystem, Cycle, FullClique, General, Path, Reducible, Separable,
     SingleChannel, Sunflower, SystemClass, TwoSets, apply_system, separable_split,
 )
-from colorcap.cli import main, system_dict
+from colorcap.cli import DEFAULT_BUDGET, TABLE_SYSTEMS, SchemaError, main, system_dict
 
 
 def run_cli(argv, doc=None) -> tuple:
     """(exit code, stdout, stderr) of colorcap.cli.main(argv) in this process.
 
     A doc, a JSON document or a ChannelSystem, is read from stdin; without
-    one stdin is left as it is.  argparse's SystemExit gives the exit code.
+    one stdin is left as it is.
     """
     if isinstance(doc, ChannelSystem):
         doc = system_dict(doc)
@@ -32,11 +33,61 @@ def run_cli(argv, doc=None) -> tuple:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SchemaError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser colorcap.cli.parse_args replaced, kept as the
+    reference it must agree with: the same accepted argv and parsed values,
+    SchemaError on a refusal, and SystemExit(0) after printing help."""
+    parser = _Parser(
+        prog="colorcap",
+        description="capacities, bounds, and exhaustive checks for systems "
+                    "of coloring channels")
+    in_parent = argparse.ArgumentParser(add_help=False)
+    in_parent.add_argument("--input", default="-", metavar="FILE",
+                           help="system document (JSON); '-' reads stdin")
+    out_parent = argparse.ArgumentParser(add_help=False)
+    out_parent.add_argument("--output", default="-", metavar="FILE",
+                            help="result document (JSON); '-' writes stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("classify", parents=[in_parent, out_parent],
+                   help="structural class of the system")
+    sub.add_parser("capacity", parents=[in_parent, out_parent],
+                   help="capacity, exact where a formula applies")
+    sub.add_parser("bounds", parents=[in_parent, out_parent],
+                   help="clique sandwich, ignoring exact formulas")
+    enum = sub.add_parser("enumerate", parents=[in_parent, out_parent],
+                          help="exact output counting over trace normal forms")
+    enum.add_argument("--n", type=int, required=True, metavar="N",
+                      help="block length")
+    enum.add_argument("--sweep", action="store_true",
+                      help="report every length 1..N")
+    enum.add_argument("--verify-pairs", action="store_true", dest="verify_pairs",
+                      help="also count the system exhaustively and compare "
+                           "with the pairs-graph count")
+    enum.add_argument("--budget", type=int, default=None, metavar="B",
+                      help=f"cap on q^N, the number of words a count covers "
+                           f"(default {DEFAULT_BUDGET})")
+    rec = sub.add_parser("reconstruct", parents=[in_parent, out_parent],
+                         help="rebuild one channel's view from pairwise views")
+    rec.add_argument("--channel", type=int, required=True, metavar="IDX",
+                     help="1-based channel index")
+    rec.add_argument("--views", required=True, metavar="FILE",
+                     help='JSON file: {"views": [{"pair": [a,b], "word": [...]}]}')
+    tab = sub.add_parser("table", parents=[out_parent],
+                         help="built-in capacity catalog (reads no input)")
+    tab.add_argument("--which", required=True, choices=sorted(TABLE_SYSTEMS),
+                     help="catalog to print")
+    return parser
 
 
 def peak(fn) -> tuple:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,10 +18,11 @@ import colorcap.oracle
 import colorcap.systems
 from colorcap import ChannelSystem
 from colorcap.cli import (
-    COMMANDS, SchemaError, format_sig, main, parse_system_document, system_dict,
+    COMMANDS, OPTIONS, SchemaError, format_sig, main, parse_args, parse_system_document,
+    system_dict,
 )
 from colorcap.oracle import BudgetExceededError, ReconstructionError
-from helpers import run_cli
+from helpers import build_parser, run_cli
 
 PKG = "colorcap"
 
@@ -77,8 +80,12 @@ def _fresh(statement: str, modules: set, stdin: str = "") -> list:
     return proc.stdout.splitlines()
 
 
+# argparse and what it loads: gettext at import, locale when a parser is built
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def test_import_stays_lean():
-    assert _fresh("import colorcap.cli", {"dataclasses", "inspect", "typing"}) == ["[]"]
+    assert _fresh("import colorcap.cli", {"dataclasses", "inspect", "typing"} | ARGPARSE) == ["[]"]
 
 
 LAZY = {"colorcap.oracle", "decimal"}
@@ -100,12 +107,16 @@ CYCLE4 = _doc(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
     (["table", "--which", "q4"], "", 0, ["decimal"]),
     (["enumerate", "--n", "3", "--verify-pairs"], CYCLE4, 0, ["colorcap.oracle"]),
     (["enumerate", "--n", "30"], CYCLE4, 3, ["colorcap.oracle"]),
+    (["--help"], "", 0, []),
+    (["enumerate", "--n", "abc"], CYCLE4, 2, []),
 ], ids=["classify", "capacity", "capacity-1", "bounds", "table", "enumerate",
-        "enumerate-refused"])
+        "enumerate-refused", "help", "argv-refused"])
 def test_each_command_loads_what_it_uses(argv, stdin, code, loaded):
-    # each command writes its document to the null device
+    # each command writes its document to the null device; help goes to stdout
     call = f"colorcap.cli.main({argv + ['--output', os.devnull]!r})"
-    assert _fresh(f"import colorcap.cli; assert {call} == {code}", LAZY, stdin) == [str(loaded)]
+    lines = _fresh(f"import colorcap.cli; assert {call} == {code}", LAZY | ARGPARSE, stdin)
+    assert lines[-1] == str(loaded)
+    assert lines[0].startswith("usage: colorcap") == (argv == ["--help"])
 
 
 def test_reconstruct_loads_the_oracle(tmp_path):
@@ -118,9 +129,9 @@ def test_reconstruct_loads_the_oracle(tmp_path):
 
 
 def test_enumerate_help_names_the_budget_without_the_oracle():
-    *lines, loaded = _fresh("import colorcap.cli, contextlib\n"
-                            "with contextlib.suppress(SystemExit):\n"
-                            "    colorcap.cli.main(['enumerate', '--help'])", LAZY)
+    *lines, loaded = _fresh("import colorcap.cli\n"
+                            "assert colorcap.cli.main(['enumerate', '--help']) == 0",
+                            LAZY | ARGPARSE)
     assert loaded == "[]"
     assert (f"--budget B cap on q^N, the number of words a count covers "
             f"(default {colorcap.oracle.DEFAULT_BUDGET})") in " ".join(" ".join(lines).split())
@@ -668,28 +679,78 @@ def test_main_calls_in_one_process_carry_no_state(tmp_path):
     assert run("classify") == classify
 
 
-def test_parser_is_built_once_per_process_and_not_at_import():
-    # counts every ArgumentParser made in a fresh process: none at import,
-    # and three main calls make as many as one build_parser call
-    parent = os.path.dirname(os.path.dirname(colorcap.cli.__file__))
-    probe = (
-        f"import sys, os, argparse; sys.path.insert(0, {parent!r})\n"
-        "made, init = [], argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = "
-        "lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
-        "import colorcap.cli\n"
-        "counts = [len(made)]\n"
-        "for _ in range(3):\n"
-        "    assert colorcap.cli.main(['table', '--which', 'q3', '--output', os.devnull]) == 0\n"
-        "counts.append(len(made))\n"
-        "colorcap.cli.build_parser()\n"
-        "print(counts + [len(made)])\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
-    at_import, after_main, after_build = json.loads(proc.stdout)
-    assert at_import == 0
-    assert after_main > 0 and after_build - after_main == after_main
+# the argv vocabulary: each flag and a prefix of it, alone, before a value or
+# with "=value"; a stray value; -h
+_ARGV_VALUES = ["3", "-1", "abc", "-", "q3", "q5", "x.json"]
+
+
+def _argv_groups(flags):
+    names = st.sampled_from([*flags, *(flag[:3] for flag in flags), "-h"])
+    return st.lists(st.one_of(
+        st.tuples(names),
+        st.tuples(names, st.sampled_from(_ARGV_VALUES)),
+        st.builds("{}={}".format, names, st.sampled_from(_ARGV_VALUES + ["x"])).map(
+            lambda token: (token,)),
+        st.tuples(st.sampled_from(_ARGV_VALUES + ["stray"])),
+    ), max_size=5).map(lambda groups: [token for group in groups for token in group])
+
+
+# every flag the reference knows, written out so that one missing from OPTIONS is still drawn
+_ALL_FLAGS = _argv_groups(["--input", "--output", "--n", "--sweep", "--verify-pairs", "--budget",
+                           "--channel", "--views", "--which", "--help"])
+_COMMAND_FLAGS = {command: _argv_groups([row[0] for row in rows] + ["--help"])
+                  for command, (_, rows) in OPTIONS.items()}
+
+# a value each option type takes: "-1" is an int, since a negative number is a value
+_VALID = {int: "-1", str: "x.json"}
+
+
+@st.composite
+def _argvs(draw):
+    """Vocabulary before a command, or in place of one; after a command its
+    required options, each left out or given a valid or a drawn value, then
+    vocabulary drawn from the command's own flags or from every flag."""
+    command = draw(st.sampled_from([*COMMANDS, None]))
+    argv = draw(_ALL_FLAGS)[:draw(st.sampled_from([0, 0, 1, 2, 3]))]
+    if command is None:
+        return argv
+    argv.append(command)
+    for flag, _, kind, required, _, _ in OPTIONS[command][1]:
+        given = draw(st.sampled_from(["valid", "valid", "drawn", None])) if required else None
+        if given:
+            valid = _VALID[kind] if kind in _VALID else kind[0]
+            argv += [flag, valid if given == "valid" else draw(st.sampled_from(_ARGV_VALUES))]
+    tail = draw(_COMMAND_FLAGS[command] | _ALL_FLAGS)
+    return argv + tail[:draw(st.sampled_from([0, 1, 2, 4, 10]))]
+
+
+_REFERENCE = build_parser()
+
+
+def _reference_parse(argv):
+    """("help",), ("refused",) or ("parsed", attributes) by the argparse reference."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "parsed", vars(_REFERENCE.parse_args(argv))
+    except SchemaError:
+        return ("refused",)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return ("help",)
+
+
+def _parse(argv):
+    try:
+        args = parse_args(argv)
+    except SchemaError:
+        return ("refused",)
+    return ("help",) if isinstance(args, str) else ("parsed", vars(args))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_argvs())
+def test_parse_args_agrees_with_the_argparse_reference(argv):
+    assert _parse(argv) == _reference_parse(argv)
 
 
 _letters = st.integers(-1, 7)
